@@ -115,11 +115,12 @@ def _emit(args: argparse.Namespace, text: str, doc: dict, ok: bool,
           show_empty: bool = False) -> int:
     output = json.dumps(doc) if args.json else text
     visible = bool(output) or (show_empty and not args.json)
-    if visible:
-        print(output)
+    # The file first: when it cannot be written, nothing reaches stdout.
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n" if visible else "")
+    if visible:
+        print(output)
     return 0 if ok else 1
 
 
@@ -395,6 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Counts print in full, however many digits they have: lift Python's
+    # int-to-string limit (where the interpreter has one) while main runs.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(previous)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

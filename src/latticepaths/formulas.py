@@ -1,4 +1,4 @@
-"""Closed-form counting formulas, all assembled over exact rationals.
+"""Closed-form counting formulas, evaluated in integer arithmetic.
 
 The four core evaluators count monotone unit paths from (a, b) to (m, n)
 kept above a boundary line:
@@ -8,18 +8,46 @@ kept above a boundary line:
 * ``count_weak_inv``   above y = x/k - r
 * ``count_strict_inv`` strictly above y = x/k - r
 
-Each is an alternating sum whose terms carry a rational leading factor; the
-terms are accumulated as Fractions and the total is asserted to collapse to
-a nonnegative integer, so a transcription slip cannot produce a silently
-wrong count.  Summation bounds use floored division, which makes out-of-
-range parameters yield empty sums (hence 0) rather than crashes.  Within
-each documented summation range every binomial upper index is provably
-nonnegative; ``exactmath.binomial`` raises if that is ever violated.
+Each of them, and the walk counts named after Böhm, Koroljuk and
+Niederhausen, is one ballot-style sum, evaluated by the private kernel
+``_ballot_sum``:
+
+    sum over y of (+-1) * e/(e+k*j) * C(e+(k+1)*j-1, j) * C(x0+dx*y, y),
+
+with j = L - y, and a sign that is (-1)^y or constant.  In the paper's
+indexing e + k*j is the ballot denominator D, j and y are affine in the
+summation index i, and e = D - k*j does not depend on i.  Each evaluator
+is a thin map onto the kernel's parameters (k, e, L, x0, dx, sign):
+
+==================  =====  ============  =====  =============  =====  =====
+evaluator           k      e             L      x0             dx     sign
+==================  =====  ============  =====  =============  =====  =====
+count_weak          k      n+r+1-k*m     m-a    b+r-k*a        -k     alt
+count_strict        k      n+r-k*m       m-a    b+r-1-k*a      -k     alt
+count_weak_inv      k      k*b+k*r-a+1   n-b    k*n+k*r-m      -k     alt
+count_strict_inv    k      k*b+k*r-a     n-b    k*n+k*r-m-1    -k     alt
+bohm                rise   start_alt     ups    end_alt-1      -rise  alt
+koroljuk_reduced    p      c             n      m-c-p*n        p+1    +
+niederhausen        k      n-k*m+k*d     m      -k*d           k+1    +
+==================  =====  ============  =====  =============  =====  =====
+
+(``niederhausen`` subtracts its sum from C(m+n, m); ``koroljuk_reduced``
+runs over y = n - i.)  Every term is an integer, because
+e/(e+k*j) * C(t, j) = C(t, j) - k*C(t, j-1) for t = e+(k+1)*j-1.
+
+The kernel visits only the y at which both binomials are nonzero
+(0 <= j and 0 <= y <= x0+dx*y), so its work is bounded by the nonzero
+terms, not by an unrelated parameter such as a huge intercept.  It takes
+the first term's two binomials from ``exactmath.binomial``, which rejects a
+negative upper index, and steps both from term to term by unit moves of
+their indices.  Each move is an exact multiply-then-divide and raises
+ArithmeticError on a nonzero remainder; a negative total raises too, so a
+transcription slip cannot produce a silently wrong count.
 
 The remaining evaluators are specializations and relatives: generalized
-ballot counts, Fuss-Catalan numbers, the classical two-letter walk counts
-named after Koroljuk, Niederhausen and Böhm, and a totalizing ``count``
-wrapper for parameter sweeps.
+ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (kept on
+Fractions as a second route for the cross-checks), and a totalizing
+``count`` wrapper for parameter sweeps.
 
 Preconditions are enforced exactly as documented on each function; the
 evaluators demand validated queries, while ``count`` accepts anything and
@@ -48,11 +76,59 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _finish(total: Fraction) -> int:
+def _finish(total: Fraction | int) -> int:
     value = as_integer(total)
     if value < 0:
         raise ArithmeticError(f"count collapsed to a negative value: {value}")
     return value
+
+
+def _exact(value: int, num: int, den: int) -> int:
+    """value*num/den for a quotient known to be an integer; ArithmeticError
+    if the division leaves a remainder."""
+    quotient, remainder = divmod(value * num, den)
+    if remainder:
+        raise ArithmeticError(f"inexact binomial step: remainder {remainder} modulo {den}")
+    return quotient
+
+
+def _ballot_sum(k: int, e: int, total: int, x0: int, dx: int, alternate: bool) -> int:
+    """Sum over y of [C(t, j) - k*C(t, j-1)] * C(x, y), negated at odd y if
+    ``alternate``, where j = total - y, t = e + (k+1)*j - 1, x = x0 + dx*y.
+
+    Needs e >= 1 and dx != 1.  Only the y with 0 <= j and 0 <= y <= x are
+    visited: those are exactly the terms with both binomials nonzero.
+    """
+    low, high = 0, total
+    if dx < 1:
+        high = min(high, x0 // (1 - dx))
+    else:
+        low = max(low, -(x0 // (dx - 1)))  # least y with (dx-1)*y >= -x0
+    if low > high:
+        return 0
+    y, j = low, total - low
+    t, x = e + (k + 1) * j - 1, x0 + dx * low
+    lead, walk = binomial(t, j), binomial(x, y)
+    acc = 0
+    while True:
+        left = _exact(lead, j, t - j + 1)  # C(t, j-1)
+        term = (lead - k * left) * walk
+        acc += -term if alternate and y & 1 else term
+        if y == high:
+            return _finish(acc)
+        j -= 1
+        for _ in range(k + 1):  # C(t, j) down to C(t-k-1, j)
+            left = _exact(left, t - j, t)
+            t -= 1
+        lead = left
+        for _ in range(-dx):  # C(x, y) down to C(x+dx, y) when dx < 0
+            walk = _exact(walk, x - y, x)
+            x -= 1
+        for _ in range(dx):  # C(x, y) up to C(x+dx, y) when dx > 0
+            x += 1
+            walk = _exact(walk, x, x - y)
+        walk = _exact(walk, x - y, y + 1)  # C(x, y+1)
+        y += 1
 
 
 def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -64,16 +140,7 @@ def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
     _require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
     _require(max(0, k * a - r) <= b <= n, f"need max(0, k*a-r) <= b <= n, got b={b}")
-    total = Fraction(0)
-    for i in range((b + r - k * a) // (k + 1) + 1):
-        ai = a + i
-        term = (
-            Fraction(n + r + 1 - k * m, n + r + 1 - k * ai)
-            * binomial(m + n + r - (k + 1) * ai, m - a - i)
-            * binomial(b + r - k * ai, i)
-        )
-        total += -term if i % 2 else term
-    return _finish(total)
+    return _ballot_sum(k, n + r + 1 - k * m, m - a, b + r - k * a, -k, True)
 
 
 def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -89,17 +156,7 @@ def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     _require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
     _require(b + r - k * a > 0, f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
     _require(n > k * m - r, f"end not strictly above the line: need n > k*m - r = {k * m - r}")
-    total = Fraction(0)
-    for i in range((b + r - 1 - k * a) // (k + 1) + 1):
-        ai = a + i
-        upper = m + n + r - (k + 1) * ai  # >= m - a + 1 >= 1 inside the range
-        term = (
-            Fraction(n + r - k * m, upper)
-            * binomial(upper, m - a - i)
-            * binomial(b + r - 1 - k * ai, i)
-        )
-        total += -term if i % 2 else term
-    return _finish(total)
+    return _ballot_sum(k, n + r - k * m, m - a, b + r - 1 - k * a, -k, True)
 
 
 def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
@@ -117,15 +174,7 @@ def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) ->
     _require(k * b >= a - kr, f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
     _require(b <= n, f"need b <= n, got b={b}, n={n}")
     _require(k * n >= m - kr, f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
-    total = Fraction(0)
-    for i in range((k * n + kr - m) // (k + 1) + 1):
-        term = (
-            Fraction(k * b + kr - a + 1, k * (n - i) + kr - a + 1)
-            * binomial((k + 1) * (n - i) - a - b + kr, n - b - i)
-            * binomial(k * (n - i) + kr - m, i)
-        )
-        total += -term if i % 2 else term
-    return _finish(total)
+    return _ballot_sum(k, k * b + kr - a + 1, n - b, k * n + kr - m, -k, True)
 
 
 def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
@@ -142,16 +191,7 @@ def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) 
     _require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
     _require(k * b + kr - a > 0, f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
     _require(k * n + kr - m > 0, f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
-    total = Fraction(0)
-    for i in range((k * n + kr - m - 1) // (k + 1) + 1):
-        upper = (k + 1) * (n - i) - a - b + kr  # >= n - b + 1 >= 1 inside the range
-        term = (
-            Fraction(k * b + kr - a, upper)
-            * binomial(upper, n - b - i)
-            * binomial(k * (n - i) + kr - m - 1, i)
-        )
-        total += -term if i % 2 else term
-    return _finish(total)
+    return _ballot_sum(k, k * b + kr - a, n - b, k * n + kr - m - 1, -k, True)
 
 
 def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
@@ -224,14 +264,7 @@ def koroljuk_literal(q: KoroljukQuery) -> int:
 def koroljuk_reduced(q: KoroljukQuery) -> int:
     """Same count as koroljuk_literal, reindexed over i = (s - c)/(p+1)."""
     p, c, m, n = q.p, q.c, q.m, q.n
-    total = Fraction(0)
-    for i in range((m + n - c) // (p + 1) + 1):
-        total += (
-            Fraction(c, c + (p + 1) * i)
-            * binomial(c + (p + 1) * i, i)
-            * binomial(m + n - c - (p + 1) * i, n - i)
-        )
-    return _finish(total)
+    return _ballot_sum(p, c, n, m - c - p * n, p + 1, False)
 
 
 @dataclass(frozen=True)
@@ -274,14 +307,7 @@ def niederhausen(q: NiederhausenQuery) -> int:
     )
     _require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
     _require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
-    total = Fraction(binomial(m + n, m))
-    for i in range((kd - 1) // (k + 1) + 1, m + 1):
-        total -= (
-            Fraction(n - k * m + kd, n - k * i + kd)
-            * binomial((k + 1) * i - kd, i)
-            * binomial(m - i - 1 + n - k * i + kd, m - i)
-        )
-    return _finish(total)
+    return _finish(binomial(m + n, m) - _ballot_sum(k, n - k * m + kd, m, -kd, k + 1, False))
 
 
 @dataclass(frozen=True)
@@ -314,22 +340,12 @@ class BohmQuery:
 def bohm(q: BohmQuery) -> int:
     """Count of the positive-altitude walks of q.
 
-    The alternating sum is truncated at floor((end_alt - 1)/(rise + 1)); the
-    later terms would need negative-upper-index binomials and do not belong
-    to the count.  Equals count_strict(rise, end_alt, 0, 0, ups,
+    The alternating sum stops at floor((end_alt - 1)/(rise + 1)), the last
+    term whose binomials are nonzero.  Equals count_strict(rise, end_alt, 0, 0, ups,
     start_alt + rise*ups - end_alt).
     """
-    t, start, end, ups = q.rise, q.start_alt, q.end_alt, q.ups
-    total = Fraction(0)
-    for ell in range((end - 1) // (t + 1) + 1):
-        denom = start + (t + 1) * (ups - ell)  # >= ups + 1 inside the range
-        term = (
-            Fraction(start, denom)
-            * binomial(denom, ups - ell)
-            * binomial(end - t * ell - 1, ell)
-        )
-        total += -term if ell % 2 else term
-    return _finish(total)
+    t = q.rise
+    return _ballot_sum(t, q.start_alt, q.ups, q.end_alt - 1, -t, True)
 
 
 def _shift_up(q: PathQuery, s: int) -> PathQuery:
@@ -353,6 +369,19 @@ def _shift_right(q: PathQuery, s: int) -> PathQuery:
     return PathQuery(q.a + s, q.b, q.m + s, q.n, shifted, q.strictness)
 
 
+def _evaluate(q: PathQuery) -> int:
+    """The core evaluator matching q's slope kind and strictness, applied to
+    q as it stands (integral intercept for the integer kind); the
+    evaluator's preconditions apply."""
+    k, r = q.boundary.k, q.boundary.r
+    if q.boundary.kind is SlopeKind.INTEGER:
+        evaluator = count_weak if q.strictness is Strictness.WEAK else count_strict
+        r = int(r)
+    else:
+        evaluator = count_weak_inv if q.strictness is Strictness.WEAK else count_strict_inv
+    return evaluator(k, r, q.a, q.b, q.m, q.n)
+
+
 def count(q: PathQuery) -> int:
     """Totalizing wrapper over the four evaluators.
 
@@ -369,14 +398,4 @@ def count(q: PathQuery) -> int:
         eff = _shift_right(eff, -eff.a)
     if eff.b < 0:
         eff = _shift_up(eff, -eff.b)
-    k = eff.boundary.k
-    a, b, m, n = eff.a, eff.b, eff.m, eff.n
-    if eff.boundary.kind is SlopeKind.INTEGER:
-        r = int(eff.boundary.r)
-        if eff.strictness is Strictness.WEAK:
-            return count_weak(k, r, a, b, m, n)
-        return count_strict(k, r, a, b, m, n)
-    r = eff.boundary.r
-    if eff.strictness is Strictness.WEAK:
-        return count_weak_inv(k, r, a, b, m, n)
-    return count_strict_inv(k, r, a, b, m, n)
+    return _evaluate(eff)

@@ -13,17 +13,11 @@ counterexample).  The three entry points mirror the command line:
   cross-formula agreement sweeps.
 * ``run_bijections``: image membership, injectivity, cardinality, and round
   trips for every path transform on exhaustively enumerated small instances.
-
-Set the environment variable ``LATTICEPATHS_THREADS`` to an integer above 1
-to fan independent job batches out across a thread pool; summaries merge in
-a fixed order, so results are identical at any worker count.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -33,12 +27,10 @@ from .formulas import (
     BohmQuery,
     KoroljukQuery,
     NiederhausenQuery,
+    _evaluate,
     bohm,
     count,
     count_strict,
-    count_strict_inv,
-    count_weak,
-    count_weak_inv,
     koroljuk_literal,
     koroljuk_reduced,
 )
@@ -82,8 +74,6 @@ from .model import (
 )
 from .oracle import count_stepset, dp_count, enumerate_paths, enumerate_stepset
 
-THREADS_ENV = "LATTICEPATHS_THREADS"
-
 
 @dataclass
 class SweepSummary:
@@ -117,27 +107,11 @@ class SweepSummary:
         return text
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_jobs(jobs: Sequence[Callable[[], SweepSummary]]) -> SweepSummary:
-    """Run summary-producing jobs, optionally on a thread pool, and merge
-    the results in submission order so the outcome is schedule-independent."""
+    """Run summary-producing jobs in order and merge their results."""
     total = SweepSummary()
-    workers = _thread_count()
-    if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            total.merge(job())
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        for future in futures:
-            total.merge(future.result())
+    for job in jobs:
+        total.merge(job())
     return total
 
 
@@ -149,18 +123,6 @@ def _record_reports(reports: Iterable[CheckReport], summary: SweepSummary) -> Sw
 
 # ---------------------------------------------------------------------------
 # Closed forms versus the oracle
-
-
-def _formula_for(q: PathQuery) -> int:
-    """Evaluate the matching closed form directly (integral intercepts only)."""
-    k, r = q.boundary.k, q.boundary.r
-    if q.boundary.kind is SlopeKind.INTEGER:
-        if q.strictness is Strictness.WEAK:
-            return count_weak(k, int(r), q.a, q.b, q.m, q.n)
-        return count_strict(k, int(r), q.a, q.b, q.m, q.n)
-    if q.strictness is Strictness.WEAK:
-        return count_weak_inv(k, r, q.a, q.b, q.m, q.n)
-    return count_strict_inv(k, r, q.a, q.b, q.m, q.n)
 
 
 def _grid_queries(k: int, max_extent: int) -> Iterable[PathQuery]:
@@ -192,7 +154,7 @@ def _formula_oracle_for_k(k: int, max_extent: int) -> SweepSummary:
     summary = SweepSummary()
     for q in _grid_queries(k, max_extent):
         expected = dp_count(q)
-        got = _formula_for(q)
+        got = _evaluate(q)
         summary.record(
             got == expected,
             lambda q=q, got=got, expected=expected: (
@@ -369,8 +331,7 @@ def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
 
 
 def hagen_rothe_sweep(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary:
-    """Seeded random convolution-identity checks; parameters are drawn
-    serially so the set is identical at any thread count."""
+    """Seeded random convolution-identity checks."""
     rng = random.Random(seed)
     params = [random_hagen_rothe(rng) for _ in range(trials)]
     return _record_reports(map(hagen_rothe_check, params), SweepSummary())

@@ -32,8 +32,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d}: {status} ({detail})")
 
 
-def test_criterion_01_formula_oracle_sweep(monkeypatch):
-    monkeypatch.delenv("LATTICEPATHS_THREADS", raising=False)
+def test_criterion_01_formula_oracle_sweep():
     started = time.perf_counter()
     summary = formula_oracle_sweep(max_k=3, max_extent=8)
     elapsed = time.perf_counter() - started

@@ -1,6 +1,9 @@
 """End-to-end tests for the command line, run in process via main(argv)."""
 
+import contextlib
 import json
+import math
+import sys
 
 import pytest
 
@@ -83,6 +86,46 @@ def test_count_out_file(tmp_path, capsys):
     assert code == 0
     assert out == "5\n"
     assert target.read_text(encoding="utf-8") == "5\n"
+
+
+def test_count_out_unwritable_prints_nothing(tmp_path, capsys):
+    code, out, err = run(capsys, "count", "--slope", "2", "--intercept", "1",
+                         "--to", "3,7", "--weak", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
+def test_count_prints_answers_beyond_the_int_digit_limit(capsys):
+    argv = ("count", "--slope", "2", "--to", "6000,12000", "--weak")
+    code, out, err = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    assert (code, json_code, err) == (0, 0, "")
+    expected = math.comb(18000, 6000) - 2 * math.comb(18000, 5999)
+    with _unlimited_int_digits():
+        assert out == f"{expected}\n"
+        assert json.loads(json_out)["result"] == expected
+
+
+def test_count_huge_intercept_small_rectangle(capsys):
+    code, out, _ = run(capsys, "count", "--slope", "1", "--intercept", "100000",
+                       "--to", "2,3", "--weak")
+    assert code == 0
+    assert out == "10\n"
 
 
 def test_koroljuk_both_forms(capsys):

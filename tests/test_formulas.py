@@ -1,14 +1,19 @@
 """Tests for the closed-form evaluators against frozen oracle values."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticepaths import (
     BohmQuery,
+    BoundaryLine,
     KoroljukQuery,
     NiederhausenQuery,
     PathQuery,
+    SlopeKind,
     Strictness,
     ValidationError,
     ballot,
@@ -25,8 +30,12 @@ from latticepaths import (
     inverse_slope,
     koroljuk_literal,
     koroljuk_reduced,
+    min_ordinate_above,
     niederhausen,
+    niederhausen_forms_check,
+    validate_query,
 )
+from latticepaths.formulas import _exact
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -227,3 +236,62 @@ def test_totals_are_plain_integers():
     assert isinstance(count_weak(2, 1, 0, 0, 2, 4), int)
     assert isinstance(koroljuk_reduced(KoroljukQuery(2, 3, 4, 2)), int)
     assert isinstance(bohm(BohmQuery(2, 2, 3, 3)), int)
+
+
+def test_huge_intercept_costs_only_the_nonzero_terms():
+    # Without truncation this sum would run over 5 * 10**11 terms.
+    assert count_weak(1, 10**12, 0, 0, 2, 3) == 10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(SlopeKind),
+    k=st.integers(1, 3),
+    r=st.fractions(min_value=-2, max_value=6, max_denominator=5),
+    strictness=st.sampled_from(Strictness),
+    a=st.integers(-2, 3),
+    rise=st.integers(0, 3),
+    east=st.integers(0, 6),
+    north=st.integers(0, 4),
+)
+def test_count_matches_oracle_on_extended_domain(kind, k, r, strictness, a, rise, east, north):
+    # Starts on or just above the line reach negative starts and strict
+    # starts at ordinate 0; the end is put on or above the line as well.
+    line = BoundaryLine(kind, k, r)
+    b = min_ordinate_above(line, a, strictness) + rise
+    m = a + east
+    n = max(b, min_ordinate_above(line, m, strictness)) + north
+    q = PathQuery(a, b, m, n, line, strictness)
+    assert validate_query(q).ok
+    assert count(q) == dp_count(q)
+
+
+@pytest.mark.parametrize("p, c", [(1, 3), (2, 5)])
+def test_koroljuk_forms_agree_at_size(p, c):
+    q = KoroljukQuery(p, c, 200, 200)
+    assert koroljuk_reduced(q) == koroljuk_literal(q)
+
+
+@pytest.mark.parametrize("k, kd, m, n", [(1, 200, 200, 200), (1, 150, 200, 210), (2, 250, 200, 210)])
+def test_niederhausen_matches_collected_form_at_size(k, kd, m, n):
+    report = niederhausen_forms_check(NiederhausenQuery(k, Fraction(kd, k), m, n))
+    assert report.ok, report.line()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_weak_from_the_origin_is_the_ballot_number_at_size(k):
+    m = 500
+    expected = math.comb(m + k * m, m) - k * math.comb(m + k * m, m - 1)
+    assert count_weak(k, 0, 0, 0, m, k * m) == expected
+
+
+def test_rectangle_above_the_line_counts_every_path():
+    # y = 2x - 1000 lies below the whole rectangle [0, 40] x [0, 50].
+    assert count_weak(2, 1000, 0, 0, 40, 50) == math.comb(90, 40)
+    assert count_strict(2, 1000, 0, 0, 40, 50) == math.comb(90, 40)
+
+
+def test_inexact_binomial_step_raises():
+    assert _exact(10, 3, 5) == 6
+    with pytest.raises(ArithmeticError):
+        _exact(10, 3, 4)
