@@ -27,7 +27,7 @@ correctness rests on the exhaustive small-instance tests.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import require
 from .model import (
     BoundaryLine,
     LatticePath,
@@ -43,13 +43,8 @@ _H = (1, 0)
 _V = (0, 1)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
-
-
 def _require_unit(path: LatticePath) -> None:
-    _require(path.step_set.kind is StepKind.UNIT, "transform expects a unit path")
+    require(path.step_set.kind is StepKind.UNIT, "transform expects a unit path")
 
 
 def _swap_reverse(steps: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -65,10 +60,10 @@ def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     the same line.  Inverse: ``raise_one``.
     """
     _require_unit(path)
-    _require(line.kind is SlopeKind.INTEGER, "drop_one works above integer-slope lines")
-    _require(line.r.denominator == 1, "drop_one needs an integral intercept")
-    _require(path.start[1] >= 1, f"start ordinate must be >= 1, got {path.start[1]}")
-    _require(
+    require(line.kind is SlopeKind.INTEGER, "drop_one works above integer-slope lines")
+    require(line.r.denominator == 1, "drop_one needs an integral intercept")
+    require(path.start[1] >= 1, f"start ordinate must be >= 1, got {path.start[1]}")
+    require(
         path_above(path, line, Strictness.STRICT),
         "input path is not strictly above the line",
     )
@@ -78,9 +73,9 @@ def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
 def raise_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``drop_one``: lift a weakly-above path by one vertical unit."""
     _require_unit(path)
-    _require(line.kind is SlopeKind.INTEGER, "raise_one works above integer-slope lines")
-    _require(line.r.denominator == 1, "raise_one needs an integral intercept")
-    _require(
+    require(line.kind is SlopeKind.INTEGER, "raise_one works above integer-slope lines")
+    require(line.r.denominator == 1, "raise_one needs an integral intercept")
+    require(
         path_above(path, line, Strictness.WEAK),
         "input path is not weakly above the line",
     )
@@ -96,10 +91,10 @@ def lemma_translate(path: LatticePath, line: BoundaryLine) -> LatticePath:
     ``lemma_translate_back``.
     """
     _require_unit(path)
-    _require(line.kind is SlopeKind.INTEGER, "lemma_translate works above integer-slope lines")
-    _require(path.start[0] >= 1, f"start abscissa must be >= 1, got {path.start[0]}")
-    _require(path.start[1] >= line.k, f"start ordinate must be >= k = {line.k}, got {path.start[1]}")
-    _require(
+    require(line.kind is SlopeKind.INTEGER, "lemma_translate works above integer-slope lines")
+    require(path.start[0] >= 1, f"start abscissa must be >= 1, got {path.start[0]}")
+    require(path.start[1] >= line.k, f"start ordinate must be >= k = {line.k}, got {path.start[1]}")
+    require(
         path_above(path, line, Strictness.WEAK),
         "input path is not weakly above the line",
     )
@@ -109,8 +104,8 @@ def lemma_translate(path: LatticePath, line: BoundaryLine) -> LatticePath:
 def lemma_translate_back(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``lemma_translate``: translate by (+1, +k)."""
     _require_unit(path)
-    _require(line.kind is SlopeKind.INTEGER, "lemma_translate_back works above integer-slope lines")
-    _require(
+    require(line.kind is SlopeKind.INTEGER, "lemma_translate_back works above integer-slope lines")
+    require(
         path_above(path, line, Strictness.WEAK),
         "input path is not weakly above the line",
     )
@@ -126,10 +121,10 @@ def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
     above y = k*x.  Inverse: ``reflect_inverse_back``.
     """
     _require_unit(path)
-    _require(line.kind is SlopeKind.INVERSE, "reflect_inverse works above inverse-slope lines")
+    require(line.kind is SlopeKind.INVERSE, "reflect_inverse works above inverse-slope lines")
     kr = line.k * line.r
-    _require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
-    _require(
+    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    require(
         path_above(path, line, Strictness.WEAK),
         "input path is not weakly above the line",
     )
@@ -149,16 +144,16 @@ def reflect_inverse_back(
     is ``path``.
     """
     _require_unit(path)
-    _require(line.kind is SlopeKind.INVERSE, "reflect_inverse_back works with inverse-slope lines")
+    require(line.kind is SlopeKind.INVERSE, "reflect_inverse_back works with inverse-slope lines")
     kr = line.k * line.r
-    _require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
     m, n = end
     image_start = (0, line.k * n + int(kr) - m)
-    _require(
+    require(
         path.start == image_start,
         f"parameter mismatch: image paths start at {image_start}, got {path.start}",
     )
-    _require(
+    require(
         path_above(path, integer_slope(line.k, 0), Strictness.WEAK),
         "input path is not weakly above y = k*x",
     )
@@ -172,11 +167,11 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
 
     Returns the walk's backjump parameter p.
     """
-    _require(path.step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
-    _require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
-    _require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
+    require(path.step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
+    require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
+    require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
     for x, _ in path.points():
-        _require(x < c, f"walk touches or crosses x = {c} at abscissa {x}")
+        require(x < c, f"walk touches or crosses x = {c} at abscissa {x}")
     return path.step_set.param
 
 
@@ -206,17 +201,17 @@ def unit_to_koroljuk(
     step order and map V -> U=(1,1), H -> D=(-p,1).
     """
     _require_unit(path)
-    _require(p >= 1, f"need p >= 1, got {p}")
-    _require(c >= 1, f"need c >= 1, got {c}")
-    _require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
+    require(p >= 1, f"need p >= 1, got {p}")
+    require(c >= 1, f"need c >= 1, got {c}")
+    require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
     n, m = path.end
     v = c + p * n - m
-    _require(
+    require(
         intercept is None or intercept == v,
         f"parameter mismatch: c + p*n - m = {v}, got intercept {intercept}",
     )
-    _require(v >= 1, f"need c + p*n - m >= 1, got {v}")
-    _require(
+    require(v >= 1, f"need c + p*n - m >= 1, got {v}")
+    require(
         path_above(path, integer_slope(p, v), Strictness.STRICT),
         f"input path is not strictly above y = {p}*x - {v}",
     )
@@ -242,10 +237,10 @@ def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
 
 def bohm_unrotate(path: LatticePath, c: int) -> LatticePath:
     """Inverse of ``bohm_rotate``: map each visited point (x, y) to (c - y, x)."""
-    _require(path.step_set.kind is StepKind.BOHM, "bohm_unrotate expects an altitude walk")
-    _require(path.start == (0, c), f"walk must start at (0, {c}), got {path.start}")
+    require(path.step_set.kind is StepKind.BOHM, "bohm_unrotate expects an altitude walk")
+    require(path.start == (0, c), f"walk must start at (0, {c}), got {path.start}")
     for _, alt in path.points():
-        _require(alt >= 1, f"walk drops to altitude {alt} < 1")
+        require(alt >= 1, f"walk drops to altitude {alt} < 1")
     p = path.step_set.param
     walk = StepSet.koroljuk(p)
     steps = tuple((1, 1) if step == (1, -1) else (-p, 1) for step in path.steps)
@@ -261,9 +256,9 @@ def bohm_to_unit(path: LatticePath) -> LatticePath:
     y = rise*x - end_altitude.  Composed after ``bohm_rotate`` this agrees
     with ``koroljuk_to_unit``.
     """
-    _require(path.step_set.kind is StepKind.BOHM, "bohm_to_unit expects an altitude walk")
+    require(path.step_set.kind is StepKind.BOHM, "bohm_to_unit expects an altitude walk")
     for _, alt in path.points():
-        _require(alt >= 1, f"walk drops to altitude {alt} < 1")
+        require(alt >= 1, f"walk drops to altitude {alt} < 1")
     rise = path.step_set.param
     unit = StepSet.unit()
     steps = tuple(_H if step == (1, rise) else _V for step in reversed(path.steps))
@@ -280,10 +275,10 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
     line) and ends at ``end_alt``.
     """
     _require_unit(path)
-    _require(rise >= 1, f"need rise >= 1, got {rise}")
-    _require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
-    _require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
-    _require(
+    require(rise >= 1, f"need rise >= 1, got {rise}")
+    require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
+    require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
+    require(
         path_above(path, integer_slope(rise, end_alt), Strictness.STRICT),
         f"input path is not strictly above y = {rise}*x - {end_alt}",
     )

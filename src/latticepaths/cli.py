@@ -111,9 +111,15 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
                       const=Strictness.STRICT, help="paths stay strictly above the line")
 
 
-def _emit(args: argparse.Namespace, text: str, doc: dict, ok: bool,
-          show_empty: bool = False) -> int:
-    output = json.dumps(doc) if args.json else text
+def _emit(args: argparse.Namespace, text: str, parameters: dict, result: object,
+          ok: bool = True, show_empty: bool = False) -> int:
+    """Print ``text``, or with --json the document {command, parameters,
+    result, ok}; with --out, write the same output to a file first."""
+    output = text
+    if args.json:
+        command = " ".join(filter(None, (args.command, getattr(args, "verify_command", None))))
+        output = json.dumps({"command": command, "parameters": parameters,
+                             "result": result, "ok": ok})
     visible = bool(output) or (show_empty and not args.json)
     # The file first: when it cannot be written, nothing reaches stdout.
     if args.out:
@@ -168,15 +174,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
         oracle_value = dp_count(q)
         match = value == oracle_value
         text = f"{value} {oracle_value} {'match' if match else 'mismatch'}"
-        doc = {
-            "command": "count",
-            "parameters": parameters,
-            "result": {"count": value, "oracle": oracle_value, "match": match},
-            "ok": match,
-        }
-        return _emit(args, text, doc, match)
-    doc = {"command": "count", "parameters": parameters, "result": value, "ok": True}
-    return _emit(args, str(value), doc, True)
+        result = {"count": value, "oracle": oracle_value, "match": match}
+        return _emit(args, text, parameters, result, match)
+    return _emit(args, str(value), parameters, value)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -185,13 +185,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     paths = enumerate_paths(q)
     lines = [path.encode() for path in paths]
-    doc = {
-        "command": "enumerate",
-        "parameters": _query_parameters(q),
-        "result": lines,
-        "ok": True,
-    }
-    return _emit(args, "\n".join(lines), doc, True, show_empty=bool(lines))
+    return _emit(args, "\n".join(lines), _query_parameters(q), lines, show_empty=bool(lines))
 
 
 def _cmd_koroljuk(args: argparse.Namespace) -> int:
@@ -202,40 +196,23 @@ def _cmd_koroljuk(args: argparse.Namespace) -> int:
         reduced = koroljuk_reduced(q)
         agree = literal == reduced
         text = f"{literal} {reduced} {'agree' if agree else 'disagree'}"
-        doc = {
-            "command": "koroljuk",
-            "parameters": parameters,
-            "result": {"literal": literal, "reduced": reduced, "agree": agree},
-            "ok": agree,
-        }
-        return _emit(args, text, doc, agree)
+        result = {"literal": literal, "reduced": reduced, "agree": agree}
+        return _emit(args, text, parameters, result, agree)
     value = koroljuk_literal(q) if args.form == "literal" else koroljuk_reduced(q)
-    doc = {"command": "koroljuk", "parameters": parameters, "result": value, "ok": True}
-    return _emit(args, str(value), doc, True)
+    return _emit(args, str(value), parameters, value)
 
 
 def _cmd_bohm(args: argparse.Namespace) -> int:
     q = BohmQuery(args.rise, args.start, args.end, args.ups)
     value = bohm(q)
-    doc = {
-        "command": "bohm",
-        "parameters": {"rise": q.rise, "start": q.start_alt, "end": q.end_alt, "ups": q.ups},
-        "result": value,
-        "ok": True,
-    }
-    return _emit(args, str(value), doc, True)
+    parameters = {"rise": q.rise, "start": q.start_alt, "end": q.end_alt, "ups": q.ups}
+    return _emit(args, str(value), parameters, value)
 
 
 def _cmd_niederhausen(args: argparse.Namespace) -> int:
     q = NiederhausenQuery(args.k, args.d, args.m, args.n)
     value = niederhausen(q)
-    doc = {
-        "command": "niederhausen",
-        "parameters": {"k": q.k, "d": str(q.d), "m": q.m, "n": q.n},
-        "result": value,
-        "ok": True,
-    }
-    return _emit(args, str(value), doc, True)
+    return _emit(args, str(value), {"k": q.k, "d": str(q.d), "m": q.m, "n": q.n}, value)
 
 
 def _require_flags(args: argparse.Namespace, names: Sequence[str]) -> None:
@@ -270,13 +247,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         image = unit_to_koroljuk(path, args.p, args.c, args.intercept)
     steps = image.encode()
     text = f"{steps or '(empty)'} @ ({image.start[0]},{image.start[1]})"
-    doc = {
-        "command": "transform",
-        "parameters": {"map": args.map, "path": args.path},
-        "result": {"steps": steps, "start": list(image.start)},
-        "ok": True,
-    }
-    return _emit(args, text, doc, True)
+    return _emit(args, text, {"map": args.map, "path": args.path},
+                 {"steps": steps, "start": list(image.start)})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -289,18 +261,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         summary = run_bijections(args.max_steps)
         parameters = {"max_steps": args.max_steps}
-    label = f"verify {args.verify_command}"
-    doc = {
-        "command": label,
-        "parameters": parameters,
-        "result": {
-            "checks": summary.checks,
-            "failures": summary.failures,
-            "first_failure": summary.first_failure,
-        },
-        "ok": summary.ok,
+    result = {
+        "checks": summary.checks,
+        "failures": summary.failures,
+        "first_failure": summary.first_failure,
     }
-    return _emit(args, summary.line(label), doc, summary.ok)
+    return _emit(args, summary.line(f"verify {args.verify_command}"), parameters, result,
+                 summary.ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,10 +384,7 @@ def _run(argv: Sequence[str] | None) -> int:
         return 0 if exc.code in (None, 0) else 2
     try:
         return args.handler(args)
-    except (ValidationError, ResourceLimitError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, ResourceLimitError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,3 +15,9 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An exhaustive enumeration would exceed the hard step budget."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise ValidationError(message) unless ``condition`` holds."""
+    if not condition:
+        raise ValidationError(message)

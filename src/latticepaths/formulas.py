@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .exactmath import Rational, as_integer, binomial
 from .model import (
     BoundaryLine,
@@ -69,11 +69,6 @@ from .model import (
     normalize_query,
     validate_query,
 )
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def _finish(total: Fraction | int) -> int:
@@ -136,10 +131,10 @@ def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
 
     Conditions: k >= 1, 0 <= a <= m, n >= k*m - r, max(0, k*a - r) <= b <= n.
     """
-    _require(k >= 1, f"need k >= 1, got {k}")
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
-    _require(max(0, k * a - r) <= b <= n, f"need max(0, k*a-r) <= b <= n, got b={b}")
+    require(k >= 1, f"need k >= 1, got {k}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
+    require(max(0, k * a - r) <= b <= n, f"need max(0, k*a-r) <= b <= n, got b={b}")
     return _ballot_sum(k, n + r + 1 - k * m, m - a, b + r - k * a, -k, True)
 
 
@@ -151,11 +146,11 @@ def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     slightly wider than b > max(0, k*a - r): b = 0 is fine when r > k*a.)
     Equals count_weak(k, r, a, b-1, m, n-1) whenever b >= 1.
     """
-    _require(k >= 1, f"need k >= 1, got {k}")
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    _require(b + r - k * a > 0, f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
-    _require(n > k * m - r, f"end not strictly above the line: need n > k*m - r = {k * m - r}")
+    require(k >= 1, f"need k >= 1, got {k}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
+    require(b + r - k * a > 0, f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
+    require(n > k * m - r, f"end not strictly above the line: need n > k*m - r = {k * m - r}")
     return _ballot_sum(k, n + r - k * m, m - a, b + r - 1 - k * a, -k, True)
 
 
@@ -165,15 +160,15 @@ def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) ->
     Conditions: k >= 1, k*r integral, 0 <= a <= m,
     max(0, a/k - r) <= b <= n, n >= m/k - r.
     """
-    _require(k >= 1, f"need k >= 1, got {k}")
+    require(k >= 1, f"need k >= 1, got {k}")
     kr = Fraction(r) * k
-    _require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
     kr = int(kr)
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(b >= 0, f"need b >= 0, got {b}")
-    _require(k * b >= a - kr, f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
-    _require(b <= n, f"need b <= n, got b={b}, n={n}")
-    _require(k * n >= m - kr, f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(b >= 0, f"need b >= 0, got {b}")
+    require(k * b >= a - kr, f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
+    require(b <= n, f"need b <= n, got b={b}, n={n}")
+    require(k * n >= m - kr, f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
     return _ballot_sum(k, k * b + kr - a + 1, n - b, k * n + kr - m, -k, True)
 
 
@@ -183,14 +178,14 @@ def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) 
     Conditions: k >= 1, k*r integral, 0 <= a <= m, 0 <= b <= n with
     k*b + k*r - a > 0 (start strictly above), and k*n + k*r - m > 0.
     """
-    _require(k >= 1, f"need k >= 1, got {k}")
+    require(k >= 1, f"need k >= 1, got {k}")
     kr = Fraction(r) * k
-    _require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
     kr = int(kr)
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    _require(k * b + kr - a > 0, f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
-    _require(k * n + kr - m > 0, f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
+    require(k * b + kr - a > 0, f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
+    require(k * n + kr - m > 0, f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
     return _ballot_sum(k, k * b + kr - a, n - b, k * n + kr - m - 1, -k, True)
 
 
@@ -200,19 +195,19 @@ def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
     Conditions: k, m >= 1, 0 <= a <= m, 0 <= b <= n, n >= k*m, and
     0 <= b - k*a <= k.  Agrees with count_weak(k, 0, a, b, m, n) there.
     """
-    _require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    _require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
-    _require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
+    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
+    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
     return _finish(Fraction(n + 1 - k * m, n + 1 - k * a) * binomial(m + n - (k + 1) * a, m - a))
 
 
 def ballot(k: int, m: int, n: int) -> int:
     """Generalized ballot count: C(m+n, m) - k*C(m+n, m-1), for n >= k*m."""
-    _require(k >= 1, f"need k >= 1, got {k}")
-    _require(m >= 0, f"need m >= 0, got {m}")
-    _require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(k >= 1, f"need k >= 1, got {k}")
+    require(m >= 0, f"need m >= 0, got {m}")
+    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
     return binomial(m + n, m) - k * binomial(m + n, m - 1)
 
 
@@ -222,8 +217,8 @@ def fuss_catalan(k: int, m: int) -> int:
     Equals count_weak(k-1, 0, 0, 0, m, (k-1)*m); order 2 gives the Catalan
     numbers.
     """
-    _require(k >= 2, f"need k >= 2, got {k}")
-    _require(m >= 0, f"need m >= 0, got {m}")
+    require(k >= 2, f"need k >= 2, got {k}")
+    require(m >= 0, f"need m >= 0, got {m}")
     return _finish(Fraction(binomial(k * m, m), (k - 1) * m + 1))
 
 
@@ -301,12 +296,12 @@ def niederhausen(q: NiederhausenQuery) -> int:
     n > k*m - k*d.  Equals count_strict(k, k*d, 0, 0, m, n).
     """
     k, m, n, kd = q.k, q.m, q.n, q.kd
-    _require(
+    require(
         kd >= (k - 1) * m,
         f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}",
     )
-    _require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
-    _require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
+    require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
+    require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
     return _finish(binomial(m + n, m) - _ballot_sum(k, n - k * m + kd, m, -kd, k + 1, False))
 
 

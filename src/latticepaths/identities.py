@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .exactmath import (
     Rational,
     as_integer,
@@ -35,11 +35,6 @@ from .formulas import (
 )
 
 DEFAULT_SEED = 7
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def _plain(value: object) -> str:
@@ -180,14 +175,14 @@ def recurrence_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckRep
     the first quadrant (tuples with b - k < 0 are rejected).  When a = m the
     right-neighbor family is empty and the translated term is 0.
     """
-    _require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    _require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    _require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
-    _require(
+    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
+    require(
         k * (a + 1) - r <= b <= n - 1,
         f"need k*(a+1) - r <= b <= n - 1, got b={b}",
     )
-    _require(b >= k, f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
+    require(b >= k, f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
     start_up = count_weak(k, r, a, b + 1, m, n)
     start = count_weak(k, r, a, b, m, n)
     start_right = count_weak(k, r, a, b - k, m - 1, n - k) if a <= m - 1 else 0
@@ -206,7 +201,7 @@ def shift_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckReport:
 
     Conditions: the strict evaluator's block with b >= 1.
     """
-    _require(b >= 1, f"need b >= 1, got {b}")
+    require(b >= 1, f"need b >= 1, got {b}")
     strict = count_strict(k, r, a, b, m, n)
     weak = count_weak(k, r, a, b - 1, m, n - 1)
     return CheckReport(

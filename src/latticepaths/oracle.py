@@ -25,6 +25,13 @@ from .model import LatticePath, PathQuery, StepSet, min_ordinate_above
 MAX_ENUMERATION_STEPS = 24
 
 
+def _guard_steps(total: int) -> None:
+    if total > MAX_ENUMERATION_STEPS:
+        raise ResourceLimitError(
+            f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
+        )
+
+
 def dp_count(q: PathQuery) -> int:
     """Count the paths of q by tabulating over the query rectangle.
 
@@ -62,11 +69,7 @@ def enumerate_paths(q: PathQuery) -> list[LatticePath]:
     a, b, m, n = q.a, q.b, q.m, q.n
     if a > m or b > n:
         return []
-    total = (m - a) + (n - b)
-    if total > MAX_ENUMERATION_STEPS:
-        raise ResourceLimitError(
-            f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
-        )
+    _guard_steps((m - a) + (n - b))
     thresholds = [min_ordinate_above(q.boundary, x, q.strictness) for x in range(a, m + 1)]
     if b < thresholds[0]:
         return []
@@ -97,13 +100,6 @@ class KoroljukSplit(NamedTuple):
 
     avoiding: int
     intersecting: int
-
-
-def _guard_steps(total: int) -> None:
-    if total > MAX_ENUMERATION_STEPS:
-        raise ResourceLimitError(
-            f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
-        )
 
 
 def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
@@ -140,8 +136,6 @@ def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
     if isinstance(q, BohmQuery):
         downs = q.down_steps
         _guard_steps(q.ups + downs)
-        if q.start_alt < 1:
-            return 0
 
         def walk(u: int, d: int, alt: int) -> int:
             if u == 0 and d == 0:
@@ -187,8 +181,6 @@ def enumerate_stepset(q: KoroljukQuery | BohmQuery) -> list[LatticePath]:
     if isinstance(q, BohmQuery):
         downs = q.down_steps
         _guard_steps(q.ups + downs)
-        if q.start_alt < 1:
-            return []
         step_set = StepSet.bohm(q.rise)
         up, down = (1, q.rise), (1, -1)
         steps = []

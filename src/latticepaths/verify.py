@@ -2,15 +2,18 @@
 grids, and bijection suites.
 
 Every sweep returns a ``SweepSummary`` (checks run, failures, first
-counterexample).  The three entry points mirror the command line:
+counterexample) and is a plain loop over one parameter grid; the three
+entry points mirror the command line and merge the summaries of the sweeps
+they run:
 
-* ``run_sweep``: closed forms versus the dynamic-programming oracle over a
-  dense parameter grid, the first-step recurrence and strict-to-weak shift
-  identities on every grid tuple meeting their condition blocks, and the
-  non-integral intercept normalization checks.
+* ``run_sweep``: ``formula_oracle_sweep`` (closed forms versus the
+  dynamic-programming oracle), ``recurrence_shift_sweep`` (the first-step
+  recurrence and strict-to-weak shift identities on every tuple of the same
+  (r, a, b, m, n) grid meeting their condition blocks), and
+  ``intercept_normalization_sweep`` (non-integral intercepts).
 * ``run_identities``: the two-letter walk complement/equality grids, the
-  seeded random convolution and upper-negation identities, and the
-  cross-formula agreement sweeps.
+  seeded random convolution and upper-negation identities, and
+  ``cross_formula_sweep``.
 * ``run_bijections``: image membership, injectivity, cardinality, and round
   trips for every path transform on exhaustively enumerated small instances.
 """
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .formulas import (
     BohmQuery,
@@ -94,11 +97,14 @@ class SweepSummary:
             if self.first_failure is None:
                 self.first_failure = describe() if callable(describe) else describe
 
-    def merge(self, other: "SweepSummary") -> None:
-        if self.first_failure is None:
-            self.first_failure = other.first_failure
-        self.checks += other.checks
-        self.failures += other.failures
+    def merge(self, *others: "SweepSummary") -> "SweepSummary":
+        """Add the tallies of ``others`` to this one, which is returned."""
+        for other in others:
+            if self.first_failure is None:
+                self.first_failure = other.first_failure
+            self.checks += other.checks
+            self.failures += other.failures
+        return self
 
     def line(self, label: str) -> str:
         text = f"{label}: {self.checks} checks, {self.failures} failures"
@@ -107,40 +113,27 @@ class SweepSummary:
         return text
 
 
-def _run_jobs(jobs: Sequence[Callable[[], SweepSummary]]) -> SweepSummary:
-    """Run summary-producing jobs in order and merge their results."""
-    total = SweepSummary()
-    for job in jobs:
-        total.merge(job())
-    return total
-
-
-def _record_reports(reports: Iterable[CheckReport], summary: SweepSummary) -> SweepSummary:
+def _record(summary: SweepSummary, *reports: CheckReport) -> SweepSummary:
     for report in reports:
         summary.record(report.ok, report.line)
     return summary
 
 
 # ---------------------------------------------------------------------------
-# Closed forms versus the oracle
+# Closed forms versus the oracle, and the recurrence and shift identities
+
+_INTERCEPTS = range(-2, 5)
 
 
-def _grid_queries(k: int, max_extent: int) -> Iterable[PathQuery]:
-    """Boundary-valid queries over the acceptance grid for one slope value:
-    integer intercepts -2..4, 0 <= a <= m <= max_extent-2,
-    0 <= b <= n <= max_extent, both slope kinds, both strictness modes."""
-    m_top = max(-1, max_extent - 2)
-    for r in range(-2, 5):
-        for kind in (SlopeKind.INTEGER, SlopeKind.INVERSE):
-            line = BoundaryLine(kind, k, r)
-            for strictness in (Strictness.WEAK, Strictness.STRICT):
-                for m in range(m_top + 1):
-                    for a in range(m + 1):
-                        for n in range(max_extent + 1):
-                            for b in range(n + 1):
-                                q = PathQuery(a, b, m, n, line, strictness)
-                                if validate_query(q).ok:
-                                    yield q
+def _grid(max_extent: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(r, a, b, m, n) over the acceptance grid: integer intercepts -2..4,
+    0 <= a <= m <= max_extent-2 and 0 <= b <= n <= max_extent."""
+    for r in _INTERCEPTS:
+        for m in range(max_extent - 1):
+            for a in range(m + 1):
+                for n in range(max_extent + 1):
+                    for b in range(n + 1):
+                        yield r, a, b, m, n
 
 
 def _describe_query(q: PathQuery) -> str:
@@ -150,64 +143,44 @@ def _describe_query(q: PathQuery) -> str:
     )
 
 
-def _formula_oracle_for_k(k: int, max_extent: int) -> SweepSummary:
-    summary = SweepSummary()
-    for q in _grid_queries(k, max_extent):
-        expected = dp_count(q)
-        got = _evaluate(q)
-        summary.record(
-            got == expected,
-            lambda q=q, got=got, expected=expected: (
-                f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
-            ),
-        )
-    return summary
-
-
 def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
-    """The four closed-form evaluators against dp_count over the dense grid."""
-    if max_k <= 0 or max_extent <= 0:
-        return SweepSummary()
-    return _run_jobs(
-        [partial(_formula_oracle_for_k, k, max_extent) for k in range(1, max_k + 1)]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Recurrence and shift identities on the same grid
-
-
-def _recurrence_shift_for_k(k: int, max_extent: int) -> SweepSummary:
+    """The four closed-form evaluators against dp_count over the dense grid:
+    slopes k and 1/k for k = 1..max_k, both strictness modes, every
+    boundary-valid query."""
     summary = SweepSummary()
-    m_top = max(-1, max_extent - 2)
-    for r in range(-2, 5):
-        for m in range(1, m_top + 1):
-            for a in range(m + 1):
-                for n in range(max_extent + 1):
-                    for b in range(n + 1):
-                        if (
-                            n >= k * m - r
-                            and k * (a + 1) - r <= b <= n - 1
-                            and b >= k
-                        ):
-                            _record_reports([recurrence_check(k, r, a, b, m, n)], summary)
-        for m in range(m_top + 1):
-            for a in range(m + 1):
-                for n in range(max_extent + 1):
-                    for b in range(1, n + 1):
-                        if b + r - k * a > 0 and n > k * m - r:
-                            _record_reports([shift_check(k, r, a, b, m, n)], summary)
+    for k in range(1, max_k + 1):
+        modes = {
+            r: [(BoundaryLine(kind, k, r), strictness)
+                for kind in SlopeKind for strictness in Strictness]
+            for r in _INTERCEPTS
+        }
+        for r, a, b, m, n in _grid(max_extent):
+            for line, strictness in modes[r]:
+                q = PathQuery(a, b, m, n, line, strictness)
+                if not validate_query(q).ok:
+                    continue
+                expected = dp_count(q)
+                got = _evaluate(q)
+                summary.record(
+                    got == expected,
+                    lambda q=q, got=got, expected=expected: (
+                        f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
+                    ),
+                )
     return summary
 
 
 def recurrence_shift_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
     """The first-step recurrence and the strict-to-weak shift identity on
     every grid tuple satisfying their condition blocks."""
-    if max_k <= 0 or max_extent <= 0:
-        return SweepSummary()
-    return _run_jobs(
-        [partial(_recurrence_shift_for_k, k, max_extent) for k in range(1, max_k + 1)]
-    )
+    summary = SweepSummary()
+    for k in range(1, max_k + 1):
+        for r, a, b, m, n in _grid(max_extent):
+            if m >= 1 and n >= k * m - r and max(k * (a + 1) - r, k) <= b <= n - 1:
+                _record(summary, recurrence_check(k, r, a, b, m, n))
+            if b >= 1 and b + r - k * a > 0 and n > k * m - r:
+                _record(summary, shift_check(k, r, a, b, m, n))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +194,7 @@ NON_INTEGER_INTERCEPTS: tuple[Fraction, ...] = (
 )
 
 
-def _intercept_cases(line: BoundaryLine) -> Iterable[PathQuery]:
+def _intercept_cases(line: BoundaryLine) -> Iterator[PathQuery]:
     """A few queries with both endpoints strictly above the line, so both
     strictness modes are boundary-valid."""
     for m in (2, 3):
@@ -272,12 +245,11 @@ def run_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
     normalization.  Nonpositive bounds give an empty sweep."""
     if max_k <= 0 or max_extent <= 0:
         return SweepSummary()
-    jobs: list[Callable[[], SweepSummary]] = []
-    for k in range(1, max_k + 1):
-        jobs.append(partial(_formula_oracle_for_k, k, max_extent))
-        jobs.append(partial(_recurrence_shift_for_k, k, max_extent))
-    jobs.append(intercept_normalization_sweep)
-    return _run_jobs(jobs)
+    return SweepSummary().merge(
+        formula_oracle_sweep(max_k, max_extent),
+        recurrence_shift_sweep(max_k, max_extent),
+        intercept_normalization_sweep(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +306,17 @@ def hagen_rothe_sweep(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSumm
     """Seeded random convolution-identity checks."""
     rng = random.Random(seed)
     params = [random_hagen_rothe(rng) for _ in range(trials)]
-    return _record_reports(map(hagen_rothe_check, params), SweepSummary())
+    return _record(SweepSummary(), *map(hagen_rothe_check, params))
 
 
 def upper_negation_sweep(pairs: int = 500, seed: int = DEFAULT_SEED) -> SweepSummary:
     """Seeded random upper-negation checks."""
     rng = random.Random(seed)
     drawn = [random_upper_negation(rng) for _ in range(pairs)]
-    return _record_reports(
-        (upper_negation_check(x, k) for x, k in drawn), SweepSummary()
-    )
+    return _record(SweepSummary(), *(upper_negation_check(x, k) for x, k in drawn))
 
 
-def _niederhausen_grid() -> Iterable[NiederhausenQuery]:
+def _niederhausen_grid() -> Iterator[NiederhausenQuery]:
     for k in (1, 2, 3):
         for m in range(0, 7):
             for n in range(1, 7):
@@ -355,7 +325,19 @@ def _niederhausen_grid() -> Iterable[NiederhausenQuery]:
                     yield NiederhausenQuery(k, Fraction(kd, k), m, n)
 
 
-def _cross_niederhausen() -> SweepSummary:
+def _bohm_grid() -> Iterator[BohmQuery]:
+    """Rises 1..3, altitudes 1..4, up to five up-steps: every balanced query."""
+    for rise in (1, 2, 3):
+        for start_alt in range(1, 5):
+            for end_alt in range(1, 5):
+                for ups in range(0, 6):
+                    if start_alt + rise * ups >= end_alt:
+                        yield BohmQuery(rise, start_alt, end_alt, ups)
+
+
+def cross_formula_sweep() -> SweepSummary:
+    """The two specialized counts against the strict evaluator and the
+    brute-force census."""
     summary = SweepSummary()
     for q in _niederhausen_grid():
         report = niederhausen_forms_check(q)
@@ -380,51 +362,31 @@ def _cross_niederhausen() -> SweepSummary:
                     f"m={q.m} n={q.n}: {split.avoiding} vs {value}"
                 ),
             )
+    for q in _bohm_grid():
+        value = bohm(q)
+        direct = count_strict(q.rise, q.end_alt, 0, 0, q.ups, q.down_steps)
+        census = count_stepset(q)
+        summary.record(
+            value == direct == census,
+            lambda q=q, value=value, direct=direct, census=census: (
+                f"altitude-walk forms rise={q.rise} start={q.start_alt} "
+                f"end={q.end_alt} ups={q.ups}: sum {value}, "
+                f"strict count {direct}, census {census}"
+            ),
+        )
     return summary
-
-
-def _cross_bohm() -> SweepSummary:
-    summary = SweepSummary()
-    for rise in (1, 2, 3):
-        for start_alt in range(1, 5):
-            for end_alt in range(1, 5):
-                for ups in range(0, 6):
-                    downs = start_alt + rise * ups - end_alt
-                    if downs < 0:
-                        continue
-                    q = BohmQuery(rise, start_alt, end_alt, ups)
-                    value = bohm(q)
-                    direct = count_strict(rise, end_alt, 0, 0, ups, downs)
-                    census = count_stepset(q)
-                    summary.record(
-                        value == direct == census,
-                        lambda q=q, value=value, direct=direct, census=census: (
-                            f"altitude-walk forms rise={q.rise} start={q.start_alt} "
-                            f"end={q.end_alt} ups={q.ups}: sum {value}, "
-                            f"strict count {direct}, census {census}"
-                        ),
-                    )
-    return summary
-
-
-def cross_formula_sweep() -> SweepSummary:
-    """The two specialized counts against the strict evaluator and the
-    brute-force census."""
-    return _run_jobs([_cross_niederhausen, _cross_bohm])
 
 
 def run_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary:
     """Walk-grid identities, seeded random identities, and cross-formula
     agreement sweeps."""
-    jobs: list[Callable[[], SweepSummary]] = [
-        koroljuk_equality_sweep,
-        complement_sweep,
-        partial(hagen_rothe_sweep, trials, seed),
-        partial(upper_negation_sweep, max(0, trials // 2), seed),
-        _cross_niederhausen,
-        _cross_bohm,
-    ]
-    return _run_jobs(jobs)
+    return SweepSummary().merge(
+        koroljuk_equality_sweep(),
+        complement_sweep(),
+        hagen_rothe_sweep(trials, seed),
+        upper_negation_sweep(max(0, trials // 2), seed),
+        cross_formula_sweep(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,96 +521,74 @@ def _walk_sweep(max_steps: int, composite_steps: int) -> SweepSummary:
     """Walk-family transforms: to the unit family, to the altitude family,
     and the composite-route consistency check."""
     summary = SweepSummary()
-    for p in (1, 2, 3):
-        for c in range(1, 6):
-            for m in range(1, 9):
-                for n in range(1, 5):
-                    if m + n > max(max_steps, composite_steps):
-                        continue
-                    walk_q = KoroljukQuery(p, c, m, n)
-                    walks = enumerate_stepset(walk_q)
-                    v = c + p * n - m
-                    if m + n <= composite_steps:
-                        summary.record(
-                            all(
-                                bohm_to_unit(bohm_rotate(w, c))
-                                == koroljuk_to_unit(w, c)
-                                for w in walks
-                            ),
-                            lambda p=p, c=c, m=m, n=n: (
-                                f"composite route differs from the direct map "
-                                f"p={p} c={c} m={m} n={n}"
-                            ),
-                        )
-                    if m + n > max_steps:
-                        continue
-                    split = count_stepset(walk_q)
-                    summary.record(
-                        split.avoiding == len(walks),
-                        lambda p=p, c=c, m=m, n=n, split=split, walks=walks: (
-                            f"walk census p={p} c={c} m={m} n={n}: "
-                            f"{split.avoiding} vs {len(walks)} enumerated"
-                        ),
-                    )
-                    if v >= 1:
-                        unit_q = PathQuery(
-                            0, 0, n, m, integer_slope(p, v), Strictness.STRICT
-                        )
-                        _check_bijection(
-                            summary,
-                            f"koroljuk-to-unit p={p} c={c} m={m} n={n}",
-                            walks,
-                            enumerate_paths(unit_q),
-                            partial(koroljuk_to_unit, c=c),
-                            partial(unit_to_koroljuk, p=p, c=c),
-                        )
-                        bohm_q = BohmQuery(p, c, v, n)
-                        _check_bijection(
-                            summary,
-                            f"bohm-rotate p={p} c={c} m={m} n={n}",
-                            walks,
-                            enumerate_stepset(bohm_q),
-                            partial(bohm_rotate, c=c),
-                            partial(bohm_unrotate, c=c),
-                        )
-                    else:
-                        summary.record(
-                            not walks,
-                            lambda p=p, c=c, m=m, n=n, walks=walks: (
-                                f"avoiding walks exist below the feasibility line "
-                                f"p={p} c={c} m={m} n={n}: {len(walks)}"
-                            ),
-                        )
+    for p, c, m, n in KOROLJUK_GRID:
+        if c > 5 or m + n > max(max_steps, composite_steps):
+            continue
+        walk_q = KoroljukQuery(p, c, m, n)
+        walks = enumerate_stepset(walk_q)
+        v = c + p * n - m
+        if m + n <= composite_steps:
+            summary.record(
+                all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks),
+                lambda p=p, c=c, m=m, n=n: (
+                    f"composite route differs from the direct map p={p} c={c} m={m} n={n}"
+                ),
+            )
+        if m + n > max_steps:
+            continue
+        split = count_stepset(walk_q)
+        summary.record(
+            split.avoiding == len(walks),
+            lambda p=p, c=c, m=m, n=n, split=split, walks=walks: (
+                f"walk census p={p} c={c} m={m} n={n}: "
+                f"{split.avoiding} vs {len(walks)} enumerated"
+            ),
+        )
+        if v >= 1:
+            unit_q = PathQuery(0, 0, n, m, integer_slope(p, v), Strictness.STRICT)
+            _check_bijection(
+                summary,
+                f"koroljuk-to-unit p={p} c={c} m={m} n={n}",
+                walks,
+                enumerate_paths(unit_q),
+                partial(koroljuk_to_unit, c=c),
+                partial(unit_to_koroljuk, p=p, c=c),
+            )
+            _check_bijection(
+                summary,
+                f"bohm-rotate p={p} c={c} m={m} n={n}",
+                walks,
+                enumerate_stepset(BohmQuery(p, c, v, n)),
+                partial(bohm_rotate, c=c),
+                partial(bohm_unrotate, c=c),
+            )
+        else:
+            summary.record(
+                not walks,
+                lambda p=p, c=c, m=m, n=n, walks=walks: (
+                    f"avoiding walks exist below the feasibility line "
+                    f"p={p} c={c} m={m} n={n}: {len(walks)}"
+                ),
+            )
     return summary
 
 
 def _bohm_to_unit_sweep(max_steps: int) -> SweepSummary:
     summary = SweepSummary()
-    for rise in (1, 2, 3):
-        for start_alt in range(1, 5):
-            for end_alt in range(1, 5):
-                for ups in range(0, 6):
-                    downs = start_alt + rise * ups - end_alt
-                    if downs < 0 or ups + downs > max_steps:
-                        continue
-                    bohm_q = BohmQuery(rise, start_alt, end_alt, ups)
-                    unit_q = PathQuery(
-                        0,
-                        0,
-                        ups,
-                        downs,
-                        integer_slope(rise, end_alt),
-                        Strictness.STRICT,
-                    )
-                    _check_bijection(
-                        summary,
-                        f"bohm-to-unit rise={rise} start={start_alt} "
-                        f"end={end_alt} ups={ups}",
-                        enumerate_stepset(bohm_q),
-                        enumerate_paths(unit_q),
-                        bohm_to_unit,
-                        partial(unit_to_bohm, rise=rise, end_alt=end_alt),
-                    )
+    for q in _bohm_grid():
+        if q.ups + q.down_steps > max_steps:
+            continue
+        unit_q = PathQuery(
+            0, 0, q.ups, q.down_steps, integer_slope(q.rise, q.end_alt), Strictness.STRICT
+        )
+        _check_bijection(
+            summary,
+            f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
+            enumerate_stepset(q),
+            enumerate_paths(unit_q),
+            bohm_to_unit,
+            partial(unit_to_bohm, rise=q.rise, end_alt=q.end_alt),
+        )
     return summary
 
 
@@ -657,11 +597,10 @@ def run_bijections(max_steps: int = 10) -> SweepSummary:
     composite-route consistency check runs two steps beyond that."""
     if max_steps < 0:
         return SweepSummary()
-    jobs = [
-        partial(_drop_one_sweep, max_steps),
-        partial(_lemma_translate_sweep, max_steps),
-        partial(_reflect_sweep, max_steps),
-        partial(_walk_sweep, max_steps, max_steps + 2),
-        partial(_bohm_to_unit_sweep, max_steps),
-    ]
-    return _run_jobs(jobs)
+    return SweepSummary().merge(
+        _drop_one_sweep(max_steps),
+        _lemma_translate_sweep(max_steps),
+        _reflect_sweep(max_steps),
+        _walk_sweep(max_steps, max_steps + 2),
+        _bohm_to_unit_sweep(max_steps),
+    )

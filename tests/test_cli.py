@@ -281,3 +281,79 @@ def test_unknown_command_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+# Exact --json output of every subcommand: (argv, exit code, stdout, stderr).
+GOLDEN_JSON = [
+    (("count", "--slope", "2", "--intercept", "1", "--to", "3,7", "--weak"), 0,
+     '{"command": "count", "parameters": {"slope": "2", "intercept": "1", "from": [0, 0], '
+     '"to": [3, 7], "strictness": "weak"}, "result": 55, "ok": true}\n', ""),
+    (("count", "--slope", "2", "--intercept", "1", "--to", "3,7", "--weak", "--oracle"), 0,
+     '{"command": "count", "parameters": {"slope": "2", "intercept": "1", "from": [0, 0], '
+     '"to": [3, 7], "strictness": "weak"}, "result": {"count": 55, "oracle": 55, '
+     '"match": true}, "ok": true}\n', ""),
+    (("count", "--slope", "1/2", "--intercept", "1/2", "--from", "1,1", "--to", "4,3",
+      "--strict"), 0,
+     '{"command": "count", "parameters": {"slope": "1/2", "intercept": "1/2", "from": [1, 1], '
+     '"to": [4, 3], "strictness": "strict"}, "result": 7, "ok": true}\n', ""),
+    (("enumerate", "--slope", "1", "--intercept", "1", "--to", "1,2", "--strict"), 0,
+     '{"command": "enumerate", "parameters": {"slope": "1", "intercept": "1", "from": [0, 0], '
+     '"to": [1, 2], "strictness": "strict"}, "result": ["VHV", "VVH"], "ok": true}\n',
+     "warning: query outside the documented condition block (strict start ordinate "
+     "below 1); answering anyway\n"),
+    (("enumerate", "--slope", "1", "--intercept", "0", "--from", "2,2", "--to", "2,2",
+      "--weak"), 0,
+     '{"command": "enumerate", "parameters": {"slope": "1", "intercept": "0", "from": [2, 2], '
+     '"to": [2, 2], "strictness": "weak"}, "result": [""], "ok": true}\n', ""),
+    (("koroljuk", "--p", "1", "--c", "1", "--m", "2", "--n", "1", "--form", "both"), 0,
+     '{"command": "koroljuk", "parameters": {"p": 1, "c": 1, "m": 2, "n": 1, "form": "both"}, '
+     '"result": {"literal": 3, "reduced": 3, "agree": true}, "ok": true}\n', ""),
+    (("koroljuk", "--p", "1", "--c", "2", "--m", "2", "--n", "1", "--form", "literal"), 0,
+     '{"command": "koroljuk", "parameters": {"p": 1, "c": 2, "m": 2, "n": 1, '
+     '"form": "literal"}, "result": 1, "ok": true}\n', ""),
+    (("bohm", "--rise", "1", "--start", "2", "--end", "1", "--ups", "2"), 0,
+     '{"command": "bohm", "parameters": {"rise": 1, "start": 2, "end": 1, "ups": 2}, '
+     '"result": 5, "ok": true}\n', ""),
+    (("niederhausen", "--k", "2", "--d", "1/2", "--m", "1", "--n", "3"), 0,
+     '{"command": "niederhausen", "parameters": {"k": 2, "d": "1/2", "m": 1, "n": 3}, '
+     '"result": 2, "ok": true}\n', ""),
+    (("transform", "--map", "koroljuk-to-unit", "--p", "1", "--c", "2", "--path", "UDU"), 0,
+     '{"command": "transform", "parameters": {"map": "koroljuk-to-unit", "path": "UDU"}, '
+     '"result": {"steps": "VHV", "start": [0, 0]}, "ok": true}\n', ""),
+    (("transform", "--map", "drop-one", "--slope", "1", "--intercept", "0", "--path", "",
+      "--from", "0,1"), 0,
+     '{"command": "transform", "parameters": {"map": "drop-one", "path": ""}, '
+     '"result": {"steps": "", "start": [0, 0]}, "ok": true}\n', ""),
+    (("verify", "sweep", "--max-k", "1", "--max-extent", "3"), 0,
+     '{"command": "verify sweep", "parameters": {"max_k": 1, "max_extent": 3}, '
+     '"result": {"checks": 824, "failures": 0, "first_failure": null}, "ok": true}\n', ""),
+    (("verify", "sweep", "--max-extent", "0"), 0,
+     '{"command": "verify sweep", "parameters": {"max_k": 3, "max_extent": 0}, '
+     '"result": {"checks": 0, "failures": 0, "first_failure": null}, "ok": true}\n', ""),
+    (("verify", "identities", "--trials", "20", "--seed", "7"), 0,
+     '{"command": "verify identities", "parameters": {"trials": 20, "seed": 7}, '
+     '"result": {"checks": 6010, "failures": 0, "first_failure": null}, "ok": true}\n', ""),
+    (("verify", "bijections", "--max-steps", "3"), 0,
+     '{"command": "verify bijections", "parameters": {"max_steps": 3}, '
+     '"result": {"checks": 10941, "failures": 0, "first_failure": null}, "ok": true}\n', ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN_JSON,
+                         ids=["-".join(case[0][:2 if case[0][0] == "verify" else 1])
+                              for case in GOLDEN_JSON])
+def test_json_golden(capsys, argv, code, out, err):
+    assert run(capsys, *argv, "--json") == (code, out, err)
+
+
+def test_json_oracle_mismatch_golden(capsys, monkeypatch):
+    import latticepaths.cli as cli_module
+    monkeypatch.setattr(cli_module, "dp_count", lambda q: -1)
+    assert run(capsys, "count", "--slope", "1", "--to", "2,2", "--weak", "--oracle",
+               "--json") == (
+        1,
+        '{"command": "count", "parameters": {"slope": "1", "intercept": "0", "from": [0, 0], '
+        '"to": [2, 2], "strictness": "weak"}, "result": {"count": 2, "oracle": -1, '
+        '"match": false}, "ok": false}\n',
+        "",
+    )

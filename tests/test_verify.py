@@ -1,0 +1,74 @@
+"""Pinned check counts of the verification sweeps, and sweeps that must
+report a deliberately broken route."""
+
+import pytest
+
+import latticepaths.identities as identities_module
+import latticepaths.verify as verify_module
+from latticepaths import (
+    LatticePath,
+    complement_sweep,
+    cross_formula_sweep,
+    formula_oracle_sweep,
+    hagen_rothe_sweep,
+    intercept_normalization_sweep,
+    koroljuk_equality_sweep,
+    recurrence_shift_sweep,
+    run_bijections,
+    run_identities,
+    upper_negation_sweep,
+)
+
+
+@pytest.mark.parametrize("sweep, args, checks", [
+    # defaults
+    (formula_oracle_sweep, (), 56267),
+    (recurrence_shift_sweep, (), 12100),
+    (intercept_normalization_sweep, (), 100),
+    (koroljuk_equality_sweep, (), 768),
+    (complement_sweep, (), 1464),
+    (hagen_rothe_sweep, (), 1000),
+    (upper_negation_sweep, (), 500),
+    (cross_formula_sweep, (), 3748),
+    (run_identities, (), 7480),
+    # the sizes of one benchmark round
+    (formula_oracle_sweep, (1, 4), 1748),
+    (recurrence_shift_sweep, (1, 4), 446),
+    (complement_sweep, (5,), 1008),
+    (run_bijections, (1,), 3745),
+    (run_bijections, (6,), 19357),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_sweep_check_counts(sweep, args, checks):
+    summary = sweep(*args)
+    assert (summary.checks, summary.failures, summary.first_failure) == (checks, 0, None)
+
+
+def _assert_reports_failures(summary):
+    assert summary.failures > 0
+    assert not summary.ok
+    assert summary.first_failure
+
+
+def test_formula_oracle_sweep_reports_a_wrong_oracle(monkeypatch):
+    dp_count = verify_module.dp_count
+    monkeypatch.setattr(verify_module, "dp_count", lambda q: dp_count(q) + 1)
+    summary = formula_oracle_sweep(1, 3)
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith("formula-vs-oracle")
+
+
+def test_recurrence_shift_sweep_reports_a_wrong_weak_count(monkeypatch):
+    count_weak = identities_module.count_weak
+    monkeypatch.setattr(identities_module, "count_weak", lambda *args: count_weak(*args) + 1)
+    _assert_reports_failures(recurrence_shift_sweep(1, 3))
+
+
+def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
+    def lifted(path, line):
+        # Moves the start up instead of down: the image leaves the target family.
+        return LatticePath((path.start[0], path.start[1] + 1), path.steps, path.step_set)
+
+    monkeypatch.setattr(verify_module, "drop_one", lifted)
+    summary = run_bijections(2)
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith("drop-one")
