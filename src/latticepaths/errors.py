@@ -14,7 +14,7 @@ class ValidationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exhaustive enumeration would exceed the hard step budget."""
+    """A computation would exceed a hard work budget (enumeration steps or DP cells)."""
 
 
 def require(condition: bool, message: str) -> None:

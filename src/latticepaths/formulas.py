@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ValidationError, require
 from .exactmath import Rational, as_integer, binomial
@@ -282,7 +283,7 @@ class NiederhausenQuery:
         if (self.k * self.d).denominator != 1:
             raise ValidationError(f"NiederhausenQuery needs k*d integral, got {self.k * self.d}")
 
-    @property
+    @cached_property
     def kd(self) -> int:
         return int(self.k * self.d)
 

@@ -85,9 +85,17 @@ def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) ->
 
 
 def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> int:
-    """Smallest integer y with (x, y) above the line; exact ceiling arithmetic."""
-    value = line.value_at(x)
-    num, den = value.numerator, value.denominator
+    """Smallest integer y with (x, y) above the line; exact ceiling arithmetic.
+
+    The boundary value is num/den with den > 0, formed in integers from k and
+    the intercept's numerator and denominator: (k*x*r_den - r_num)/r_den for
+    the integer slope, (x*r_den - k*r_num)/(k*r_den) for the inverse slope.
+    """
+    r_num, r_den = line.r.numerator, line.r.denominator
+    if line.kind is SlopeKind.INTEGER:
+        num, den = line.k * x * r_den - r_num, r_den
+    else:
+        num, den = x * r_den - line.k * r_num, line.k * r_den
     if strictness is Strictness.WEAK:
         return -((-num) // den)  # ceil(num/den)
     return num // den + 1  # floor(num/den) + 1

@@ -5,13 +5,17 @@ step at a time and test each against the boundary), so the results are
 trustworthy checks for the closed forms in ``formulas``.  That module is
 imported only for its frozen query dataclasses, never for its arithmetic.
 
+The counts tabulate, for each point, the valid arrangements that end there,
+so their cost is polynomial; the enumerations list the members one by one.
+
 The boundary test is hoisted out of the inner loops: for a fixed abscissa x
 the constraint is "y at least some integer threshold", and the threshold is
 exact ceiling arithmetic on the rational boundary value (see
 ``model.min_ordinate_above``).  No floating point anywhere.
 
-Exhaustive enumerations refuse to run above MAX_ENUMERATION_STEPS total
-steps; that keeps the worst case under roughly 17 million sequences.
+Enumerations and step-set censuses refuse to run above MAX_ENUMERATION_STEPS
+total steps (an enumeration stays under roughly 17 million sequences), and
+``dp_count`` refuses tables of more than MAX_DP_CELLS cells.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .formulas import BohmQuery, KoroljukQuery
 from .model import LatticePath, PathQuery, StepSet, min_ordinate_above
 
 MAX_ENUMERATION_STEPS = 24
+MAX_DP_CELLS = 10**7
 
 
 def _guard_steps(total: int) -> None:
@@ -37,12 +42,16 @@ def dp_count(q: PathQuery) -> int:
 
     The start ordinate b may be negative (vertically shifted queries); the
     table simply extends down to cover it.  Unreachable end points give 0.
+    Tables of more than MAX_DP_CELLS cells raise ResourceLimitError.
     """
     a, b, m, n = q.a, q.b, q.m, q.n
     if a > m or b > n:
         return 0
-    thresholds = [min_ordinate_above(q.boundary, x, q.strictness) for x in range(a, m + 1)]
     height = n - b + 1
+    cells = (m - a + 1) * height
+    if cells > MAX_DP_CELLS:
+        raise ResourceLimitError(f"a table of {cells} cells exceeds the {MAX_DP_CELLS}-cell budget")
+    thresholds = [min_ordinate_above(q.boundary, x, q.strictness) for x in range(a, m + 1)]
     # Column at x = a: only the straight vertical prefix is reachable.
     col = [0] * height
     if b >= thresholds[0]:
@@ -103,51 +112,44 @@ class KoroljukSplit(NamedTuple):
 
 
 def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
-    """Brute-force census of a two-letter step family.
+    """Step-by-step census of a two-letter step family.
 
-    KoroljukQuery: walk all arrangements of m up-steps (1,1) and n back-steps
-    (-p,1) from the origin and split them by whether any visited point has
-    abscissa c.  Returns a KoroljukSplit.
+    Tabulates over (up-steps used, down-steps used): each cell holds the
+    counts of the arrangements that end there, and the point a cell stands
+    for is tested against the definition as the paths enter it.
 
-    BohmQuery: walk all arrangements of the query's up-steps (1,rise) and
-    down-steps (1,-1) from the start altitude and count those whose every
-    visited altitude stays >= 1.  Returns an int.
+    KoroljukQuery: arrangements of m up-steps (1,1) and n back-steps (-p,1)
+    from the origin, split by whether any visited point has abscissa c.  A
+    cell at abscissa u - p*d = c moves all of its paths to "intersecting".
+    Returns a KoroljukSplit.
+
+    BohmQuery: arrangements of the query's up-steps (1,rise) and down-steps
+    (1,-1) from the start altitude whose every visited altitude stays >= 1.
+    A cell at altitude start + rise*u - d < 1 holds 0.  Returns an int.
     """
     if isinstance(q, KoroljukQuery):
-        _guard_steps(q.m + q.n)
-        avoiding = intersecting = 0
-
-        def rec(u: int, d: int, x: int, touched: bool) -> None:
-            nonlocal avoiding, intersecting
-            if u == 0 and d == 0:
-                if touched:
-                    intersecting += 1
-                else:
-                    avoiding += 1
-                return
-            if u:
-                rec(u - 1, d, x + 1, touched or x + 1 == q.c)
-            if d:
-                rec(u, d - 1, x - q.p, touched or x - q.p == q.c)
-
-        rec(q.m, q.n, 0, q.c == 0)
-        return KoroljukSplit(avoiding, intersecting)
+        p, c, m, n = q.p, q.c, q.m, q.n
+        _guard_steps(m + n)
+        # Row u of the table, indexed by d; a virtual row -1 feeds the start.
+        avoiding, intersecting = [1] + [0] * n, [0] * (n + 1)
+        for u in range(m + 1):
+            for d in range(n + 1):
+                avoid = avoiding[d] + (avoiding[d - 1] if d else 0)
+                meet = intersecting[d] + (intersecting[d - 1] if d else 0)
+                if u - p * d == c:
+                    avoid, meet = 0, avoid + meet
+                avoiding[d], intersecting[d] = avoid, meet
+        return KoroljukSplit(avoiding[n], intersecting[n])
 
     if isinstance(q, BohmQuery):
-        downs = q.down_steps
-        _guard_steps(q.ups + downs)
-
-        def walk(u: int, d: int, alt: int) -> int:
-            if u == 0 and d == 0:
-                return 1
-            total = 0
-            if u:  # up-step keeps the altitude positive automatically
-                total += walk(u - 1, d, alt + q.rise)
-            if d and alt - 1 >= 1:
-                total += walk(u, d - 1, alt - 1)
-            return total
-
-        return walk(q.ups, downs, q.start_alt)
+        rise, start, ups, downs = q.rise, q.start_alt, q.ups, q.down_steps
+        _guard_steps(ups + downs)
+        ways = [1] + [0] * downs  # as for Koroljuk, a virtual row -1 feeds the start
+        for u in range(ups + 1):
+            for d in range(downs + 1):
+                w = ways[d] + (ways[d - 1] if d else 0)
+                ways[d] = w if start + rise * u - d >= 1 else 0
+        return ways[downs]
 
     raise TypeError(f"count_stepset takes a KoroljukQuery or BohmQuery, got {type(q).__name__}")
 

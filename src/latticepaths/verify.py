@@ -283,7 +283,7 @@ def koroljuk_equality_sweep() -> SweepSummary:
 
 def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
     """total = intersecting + avoiding across the walk grid, with both
-    components independently confirmed by the brute-force census on
+    components independently confirmed by the step-by-step census on
     instances of at most ``max_census_steps`` steps."""
     summary = SweepSummary()
     for p, c, m, n in KOROLJUK_GRID:
@@ -337,7 +337,7 @@ def _bohm_grid() -> Iterator[BohmQuery]:
 
 def cross_formula_sweep() -> SweepSummary:
     """The two specialized counts against the strict evaluator and the
-    brute-force census."""
+    step-by-step census."""
     summary = SweepSummary()
     for q in _niederhausen_grid():
         report = niederhausen_forms_check(q)

@@ -62,6 +62,15 @@ def test_count_oracle_mismatch_exits_1(capsys, monkeypatch):
     assert out == "2 -1 mismatch\n"
 
 
+def test_count_oracle_over_cell_budget_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--slope", "1", "--to", "5000,5000",
+                         "--weak", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "cell budget" in err
+    assert err.count("\n") == 1
+
+
 def test_count_json_document(capsys):
     code, out, _ = run(capsys, "count", "--slope", "1", "--intercept", "0",
                        "--to", "2,2", "--weak", "--json")

@@ -161,6 +161,13 @@ def test_niederhausen_query_requires_integral_kd():
     assert q.kd == 1
 
 
+def test_niederhausen_query_identity_ignores_cached_kd():
+    q, fresh = NiederhausenQuery(2, Fraction(3, 2), 2, 4), NiederhausenQuery(2, Fraction(3, 2), 2, 4)
+    assert q.kd == 3
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert repr(q) == "NiederhausenQuery(k=2, d=Fraction(3, 2), m=2, n=4)"
+
+
 def test_niederhausen_rejects_outside_stated_domain():
     with pytest.raises(ValidationError):
         niederhausen(NiederhausenQuery(2, 1, 4, 20))

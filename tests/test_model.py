@@ -70,6 +70,21 @@ def test_min_ordinate_above_matches_predicate():
                 assert not above((x, y - 1), line, strictness)
 
 
+@given(
+    st.sampled_from([SlopeKind.INTEGER, SlopeKind.INVERSE]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=-5, max_value=20),
+    st.sampled_from([WEAK, STRICT]),
+)
+def test_min_ordinate_above_is_the_threshold_of_above(kind, k, num, den, x, strictness):
+    line = BoundaryLine(kind, k, Fraction(num, den))
+    y = min_ordinate_above(line, x, strictness)
+    assert above((x, y), line, strictness)
+    assert not above((x, y - 1), line, strictness)
+
+
 def test_normalize_intercept_examples():
     assert normalize_intercept(integer_slope(2, Fraction(3, 2))) == integer_slope(2, 1)
     assert normalize_intercept(integer_slope(2, 2)) == integer_slope(2, 2)

@@ -1,5 +1,6 @@
-"""Tests for the brute-force oracle: DP counts and exhaustive enumeration."""
+"""Tests for the oracle: tabulated counts and exhaustive enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,45 @@ from latticepaths import (
     inverse_slope,
     normalize_intercept,
 )
+from latticepaths.oracle import MAX_DP_CELLS
+
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
+
+
+def walk_census(q):
+    """Reference census: walk every arrangement of the steps one by one."""
+    if isinstance(q, KoroljukQuery):
+        avoiding = intersecting = 0
+
+        def rec(u, d, x, touched):
+            nonlocal avoiding, intersecting
+            if u == 0 and d == 0:
+                if touched:
+                    intersecting += 1
+                else:
+                    avoiding += 1
+                return
+            if u:
+                rec(u - 1, d, x + 1, touched or x + 1 == q.c)
+            if d:
+                rec(u, d - 1, x - q.p, touched or x - q.p == q.c)
+
+        rec(q.m, q.n, 0, q.c == 0)
+        return (avoiding, intersecting)
+
+    def walk(u, d, alt):
+        if u == 0 and d == 0:
+            return 1
+        total = 0
+        if u:
+            total += walk(u - 1, d, alt + q.rise)
+        if d and alt - 1 >= 1:
+            total += walk(u, d - 1, alt - 1)
+        return total
+
+    return walk(q.ups, q.down_steps, q.start_alt)
 
 
 def test_dp_count_examples():
@@ -80,6 +117,46 @@ def test_count_stepset_totals_are_binomial():
                 for n in (1, 2):
                     split = count_stepset(KoroljukQuery(p, c, m, n))
                     assert split.avoiding + split.intersecting == binomial(m + n, n)
+
+
+def test_count_stepset_koroljuk_matches_walk_census():
+    for p in (1, 2, 3):
+        for c in range(1, 10):
+            for m in range(1, 14):
+                for n in range(1, 15 - m):
+                    q = KoroljukQuery(p, c, m, n)
+                    assert tuple(count_stepset(q)) == walk_census(q), q
+
+
+def test_count_stepset_bohm_matches_walk_census():
+    for rise in (1, 2, 3):
+        for start in range(1, 6):
+            for end in range(1, 6):
+                for ups in range(17):
+                    downs = start + rise * ups - end
+                    if downs < 0 or ups + downs > 16:
+                        continue
+                    q = BohmQuery(rise, start, end, ups)
+                    assert count_stepset(q) == walk_census(q), q
+
+
+def test_count_stepset_step_budget():
+    split = count_stepset(KoroljukQuery(1, 3, 12, 12))
+    assert split.avoiding + split.intersecting == binomial(24, 12)
+    with pytest.raises(ResourceLimitError):
+        count_stepset(KoroljukQuery(1, 3, 13, 12))
+    with pytest.raises(ResourceLimitError):
+        count_stepset(BohmQuery(1, 2, 1, 12))
+
+
+def test_dp_count_cell_budget():
+    side = math.isqrt(MAX_DP_CELLS)  # (side + 1)^2 cells exceed the budget
+    for q in (
+        PathQuery(0, 0, side, side, integer_slope(1, 0), WEAK),
+        PathQuery(-1, 0, MAX_DP_CELLS - 1, 0, integer_slope(1, 10), WEAK),
+    ):
+        with pytest.raises(ResourceLimitError, match="cell budget"):
+            dp_count(q)
 
 
 def test_count_stepset_bohm_examples():
