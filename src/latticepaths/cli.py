@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = commands.add_parser("count", help="count the paths of a query")
     _add_query_flags(p_count)
     p_count.add_argument("--oracle", action="store_true",
-                         help="also run the brute-force oracle and compare")
+                         help="also run the dynamic-programming oracle and compare")
     _add_output_flags(p_count)
     p_count.set_defaults(handler=_cmd_count)
 

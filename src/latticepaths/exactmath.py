@@ -2,8 +2,9 @@
 
 All arithmetic in this package is exact: counts are arbitrary-precision
 Python ints and intermediate ratios are ``fractions.Fraction`` values, which
-stay in lowest terms by construction.  ``Rational`` is exported as an alias
-so the rest of the package never imports ``fractions`` directly.
+stay in lowest terms by construction.  ``Rational`` is the package-level
+name for ``fractions.Fraction``; the other modules import ``Fraction``
+itself.
 
 Binomial conventions, fixed here once:
 

@@ -1,4 +1,5 @@
-"""Verification sweeps: formulas against the brute-force oracle, identity
+"""Verification sweeps: formulas against the independent oracle (dynamic
+programming for counts, exhaustive enumeration for listings), identity
 grids, and bijection suites.
 
 Every sweep returns a ``SweepSummary`` (checks run, failures, first
@@ -517,12 +518,14 @@ def _reflect_sweep(max_steps: int) -> SweepSummary:
     return summary
 
 
-def _walk_sweep(max_steps: int, composite_steps: int) -> SweepSummary:
+def _walk_sweep(max_steps: int) -> SweepSummary:
     """Walk-family transforms: to the unit family, to the altitude family,
-    and the composite-route consistency check."""
+    and the composite-route consistency check, which runs two steps beyond
+    ``max_steps``."""
     summary = SweepSummary()
+    composite_steps = max_steps + 2
     for p, c, m, n in KOROLJUK_GRID:
-        if c > 5 or m + n > max(max_steps, composite_steps):
+        if c > 5 or m + n > composite_steps:
             continue
         walk_q = KoroljukQuery(p, c, m, n)
         walks = enumerate_stepset(walk_q)
@@ -601,6 +604,6 @@ def run_bijections(max_steps: int = 10) -> SweepSummary:
         _drop_one_sweep(max_steps),
         _lemma_translate_sweep(max_steps),
         _reflect_sweep(max_steps),
-        _walk_sweep(max_steps, max_steps + 2),
+        _walk_sweep(max_steps),
         _bohm_to_unit_sweep(max_steps),
     )

@@ -12,12 +12,15 @@ from latticepaths import (
     ResourceLimitError,
     Strictness,
     binomial,
+    bohm,
     count_stepset,
+    count_strict,
     dp_count,
     enumerate_paths,
     enumerate_stepset,
     integer_slope,
     inverse_slope,
+    koroljuk_reduced,
     normalize_intercept,
 )
 from latticepaths.oracle import MAX_DP_CELLS
@@ -143,10 +146,36 @@ def test_count_stepset_bohm_matches_walk_census():
 def test_count_stepset_step_budget():
     split = count_stepset(KoroljukQuery(1, 3, 12, 12))
     assert split.avoiding + split.intersecting == binomial(24, 12)
-    with pytest.raises(ResourceLimitError):
-        count_stepset(KoroljukQuery(1, 3, 13, 12))
-    with pytest.raises(ResourceLimitError):
-        count_stepset(BohmQuery(1, 2, 1, 12))
+    # The census is bounded by cells, not steps: 25 steps are answered.
+    q = KoroljukQuery(1, 3, 13, 12)
+    split = count_stepset(q)
+    assert split.avoiding == count_strict(1, 3 + 12 - 13, 0, 0, 12, 13)
+    assert split.intersecting == koroljuk_reduced(q)
+    q = BohmQuery(1, 2, 1, 12)
+    assert count_stepset(q) == bohm(q)
+    # The second is a strip of two rows, refused before any of its 10**9 columns is built.
+    for q in (KoroljukQuery(1, 1, 10**4, 10**4), KoroljukQuery(1, 1, 10**9, 1)):
+        with pytest.raises(ResourceLimitError, match="cell budget"):
+            count_stepset(q)
+
+
+def test_count_stepset_matches_closed_forms_on_large_instances():
+    for p in (1, 2, 3):
+        for total in (200, 400, 600):
+            for shift in (-3, 3):  # -3 puts the small c below the feasibility line v = 1
+                n = total // (p + 1) + shift
+                m = total - n
+                for c in (1, 9, 60):
+                    q = KoroljukQuery(p, c, m, n)
+                    split = count_stepset(q)
+                    v = c + p * n - m
+                    assert split.avoiding == (count_strict(p, v, 0, 0, n, m) if v >= 1 else 0), q
+                    assert split.intersecting == koroljuk_reduced(q), q
+    for rise in (1, 2, 3):
+        for ups in (100, 300):
+            for start, end in ((1, 1), (4, 9)):
+                q = BohmQuery(rise, start, end, ups)
+                assert count_stepset(q) == bohm(q), q
 
 
 def test_dp_count_cell_budget():
