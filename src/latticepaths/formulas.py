@@ -38,10 +38,10 @@ e/(e+k*j) * C(t, j) = C(t, j) - k*C(t, j-1) for t = e+(k+1)*j-1.
 The kernel visits only the y at which both binomials are nonzero
 (0 <= j and 0 <= y <= x0+dx*y), so its work is bounded by the nonzero
 terms, not by an unrelated parameter such as a huge intercept.  It takes
-the first term's two binomials from ``exactmath.binomial``, which rejects a
-negative upper index, and steps both from term to term by unit moves of
-their indices.  Each move is an exact multiply-then-divide and raises
-ArithmeticError on a nonzero remainder; a negative total raises too, so a
+the first term's binomials from ``exactmath.binomial`` (a negative upper
+index raises) and each later term from the one before by a ratio of
+k + |dx| + 2 small factors, in one exact multiply-then-divide that raises
+ArithmeticError on a remainder; a negative total raises too, so a
 transcription slip cannot produce a silently wrong count.
 
 The remaining evaluators are specializations and relatives: generalized
@@ -104,27 +104,29 @@ def _ballot_sum(k: int, e: int, total: int, x0: int, dx: int, alternate: bool) -
         return 0
     y, j = low, total - low
     t, x = e + (k + 1) * j - 1, x0 + dx * low
-    lead, walk = binomial(t, j), binomial(x, y)
+    term = _exact(binomial(t, j) * binomial(x, y), e, t - j + 1)  # e + k*j = t - j + 1
     acc = 0
     while True:
-        left = _exact(lead, j, t - j + 1)  # C(t, j-1)
-        term = (lead - k * left) * walk
         acc += -term if alternate and y & 1 else term
         if y == high:
             return _finish(acc)
-        j -= 1
-        for _ in range(k + 1):  # C(t, j) down to C(t-k-1, j)
-            left = _exact(left, t - j, t)
-            t -= 1
-        lead = left
-        for _ in range(-dx):  # C(x, y) down to C(x+dx, y) when dx < 0
-            walk = _exact(walk, x - y, x)
-            x -= 1
-        for _ in range(dx):  # C(x, y) up to C(x+dx, y) when dx > 0
-            x += 1
-            walk = _exact(walk, x, x - y)
-        walk = _exact(walk, x - y, y + 1)  # C(x, y+1)
-        y += 1
+        # num/den = T(y+1)/T(y): lead factor at (j-1, t-k-1) over (j, t), times C(x+dx, y+1)/C(x, y)
+        num, den = j * (t - j + 1), t * (t - j + 1 - k) * (y + 1)
+        for i in range(k):
+            num *= t - j - i
+            den *= t - 1 - i
+        if dx > 0:
+            for i in range(1, dx + 1):
+                num *= x + i
+            for i in range(1, dx):
+                den *= x - y + i
+        else:
+            num *= x - y
+            for i in range(-dx):
+                num *= x - y - 1 - i
+                den *= x - i
+        term = _exact(term, num, den)
+        j, t, x, y = j - 1, t - k - 1, x + dx, y + 1
 
 
 def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -201,7 +203,7 @@ def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
     require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
     require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
     require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
-    return _finish(Fraction(n + 1 - k * m, n + 1 - k * a) * binomial(m + n - (k + 1) * a, m - a))
+    return _exact(binomial(m + n - (k + 1) * a, m - a), n + 1 - k * m, n + 1 - k * a)
 
 
 def ballot(k: int, m: int, n: int) -> int:
@@ -220,7 +222,7 @@ def fuss_catalan(k: int, m: int) -> int:
     """
     require(k >= 2, f"need k >= 2, got {k}")
     require(m >= 0, f"need m >= 0, got {m}")
-    return _finish(Fraction(binomial(k * m, m), (k - 1) * m + 1))
+    return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,15 @@ class StepSet:
         if self.kind is StepKind.UNIT:
             if self.param:
                 raise ValidationError("unit step set takes no parameter")
+            vectors = {"H": (1, 0), "V": (0, 1)}
         elif self.param < 1:
             raise ValidationError(f"{self.kind.value} step set needs a parameter >= 1")
+        elif self.kind is StepKind.KOROLJUK:
+            vectors = {"U": (1, 1), "D": (-self.param, 1)}
+        else:
+            vectors = {"U": (1, self.param), "D": (1, -1)}
+        object.__setattr__(self, "_vectors", vectors)  # built once; letters() hands out copies
+        object.__setattr__(self, "_letters", {vec: letter for letter, vec in vectors.items()})
 
     @staticmethod
     def unit() -> "StepSet":
@@ -234,23 +241,19 @@ class StepSet:
         return StepSet(StepKind.BOHM, rise)
 
     def letters(self) -> dict[str, tuple[int, int]]:
-        if self.kind is StepKind.UNIT:
-            return {"H": (1, 0), "V": (0, 1)}
-        if self.kind is StepKind.KOROLJUK:
-            return {"U": (1, 1), "D": (-self.param, 1)}
-        return {"U": (1, self.param), "D": (1, -1)}
+        return dict(self._vectors)
 
     def vector_for(self, letter: str) -> tuple[int, int]:
         try:
-            return self.letters()[letter]
+            return self._vectors[letter]
         except KeyError:
             raise ValidationError(f"unknown step letter {letter!r} for {self.kind.value} steps") from None
 
     def letter_for(self, step: tuple[int, int]) -> str:
-        for letter, vec in self.letters().items():
-            if vec == step:
-                return letter
-        raise ValidationError(f"step {step} does not belong to the {self.kind.value} step set")
+        try:
+            return self._letters[step]
+        except (KeyError, TypeError):  # an unhashable step is not a vector of the set either
+            raise ValidationError(f"step {step} does not belong to the {self.kind.value} step set") from None
 
 
 @dataclass(frozen=True)
@@ -264,12 +267,17 @@ class LatticePath:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", tuple(self.start))
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        allowed = set(self.step_set.letters().values())
+        allowed, kind = self.step_set._letters, self.step_set.kind.value
         for step in self.steps:
             if step not in allowed:
-                raise ValidationError(
-                    f"step {step} does not belong to the {self.step_set.kind.value} step set"
-                )
+                raise ValidationError(f"step {step} does not belong to the {kind} step set")
+
+    @classmethod
+    def _trusted(cls, start: tuple[int, int], steps: tuple, step_set: StepSet) -> "LatticePath":
+        """No checks: start must be a tuple and steps a tuple of step_set's vectors."""
+        path = object.__new__(cls)
+        path.__dict__.update(start=start, steps=steps, step_set=step_set)
+        return path
 
     def points(self) -> list[tuple[int, int]]:
         """All visited points, start included, in traversal order."""
@@ -290,7 +298,7 @@ class LatticePath:
         return (x, y)
 
     def encode(self) -> str:
-        return "".join(self.step_set.letter_for(step) for step in self.steps)
+        return "".join(map(self.step_set._letters.__getitem__, self.steps))
 
     @classmethod
     def decode(cls, text: str, step_set: StepSet, start: tuple[int, int] = (0, 0)) -> "LatticePath":

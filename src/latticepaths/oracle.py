@@ -68,15 +68,14 @@ def _walk(
             f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
         )
     thresholds = [lo(i) for i in range(width)] + [height]  # the column past the end is closed
-    vectors = step_set.letters()
     order = sorted([(letters[0], 1, 0), (letters[1], 0, 1)])  # letter order is output order
-    moves = [(vectors[letter], di, dj) for letter, di, dj in order]
+    moves = [(step_set.vector_for(letter), di, dj) for letter, di, dj in order]
     out: list[LatticePath] = []
     steps: list[tuple[int, int]] = []
 
     def rec(i: int, j: int) -> None:
         if i == width - 1 and j == height - 1:
-            out.append(LatticePath(start, tuple(steps), step_set))
+            out.append(LatticePath._trusted(start, tuple(steps), step_set))  # the set's own steps
             return
         for step, di, dj in moves:
             if thresholds[i + di] <= j + dj < height:

@@ -1,6 +1,7 @@
 """Tests for the closed-form evaluators against frozen oracle values."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from latticepaths import (
     ValidationError,
     ballot,
     base_case,
+    binomial,
     bohm,
     count,
     count_strict,
@@ -35,7 +37,7 @@ from latticepaths import (
     niederhausen_forms_check,
     validate_query,
 )
-from latticepaths.formulas import _exact
+from latticepaths.formulas import _ballot_sum, _exact, _finish
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -97,6 +99,7 @@ def test_base_case_examples():
     assert base_case(2, 1, 2, 3, 6) == 3
     assert base_case(1, 0, 1, 2, 2) == 2
     assert base_case(2, 3, 7, 3, 7) == 1
+    assert base_case(2, 100, 201, 300, 650) == count_weak(2, 0, 100, 201, 300, 650)
 
 
 def test_base_case_agrees_with_count_weak():
@@ -125,6 +128,7 @@ def test_fuss_catalan_examples():
     assert fuss_catalan(2, 3) == 5
     assert fuss_catalan(3, 2) == 3
     assert fuss_catalan(2, 0) == 1
+    assert fuss_catalan(3, 400) == math.comb(1200, 400) // 801
     with pytest.raises(ValidationError):
         fuss_catalan(1, 3)
 
@@ -302,3 +306,87 @@ def test_inexact_binomial_step_raises():
     assert _exact(10, 3, 5) == 6
     with pytest.raises(ArithmeticError):
         _exact(10, 3, 4)
+
+
+def stepping_ballot_sum(k, e, total, x0, dx, alternate):
+    """Reference kernel: the same sum, with both binomials stepped from term
+    to term by unit moves of their indices, one exact division per move."""
+    low, high = 0, total
+    if dx < 1:
+        high = min(high, x0 // (1 - dx))
+    else:
+        low = max(low, -(x0 // (dx - 1)))
+    if low > high:
+        return 0
+    y, j = low, total - low
+    t, x = e + (k + 1) * j - 1, x0 + dx * low
+    lead, walk = binomial(t, j), binomial(x, y)
+    acc = 0
+    while True:
+        left = _exact(lead, j, t - j + 1)  # C(t, j-1)
+        term = (lead - k * left) * walk
+        acc += -term if alternate and y & 1 else term
+        if y == high:
+            return _finish(acc)
+        j -= 1
+        for _ in range(k + 1):  # C(t, j) down to C(t-k-1, j)
+            left = _exact(left, t - j, t)
+            t -= 1
+        lead = left
+        for _ in range(-dx):  # C(x, y) down to C(x+dx, y) when dx < 0
+            walk = _exact(walk, x - y, x)
+            x -= 1
+        for _ in range(dx):  # C(x, y) up to C(x+dx, y) when dx > 0
+            x += 1
+            walk = _exact(walk, x, x - y)
+        walk = _exact(walk, x - y, y + 1)  # C(x, y+1)
+        y += 1
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except ArithmeticError as exc:
+        return ("ArithmeticError", str(exc))
+
+
+def _kernels_agree(args):
+    return _outcome(_ballot_sum, *args) == _outcome(stepping_ballot_sum, *args)
+
+
+DXS = (-4, -3, -2, -1, 0, 2, 3, 4, 5)
+
+
+def test_ballot_sum_matches_stepping_kernel_on_small_tuples():
+    tuples = [
+        (k, e, total, x0, dx, alternate)
+        for k in range(1, 5)
+        for e in range(1, 10)
+        for total in range(0, 11)
+        for x0 in range(-4, 18)
+        for dx in DXS
+        for alternate in (False, True)
+    ]
+    assert len(tuples) == 156_816
+    outcomes = [(args, _outcome(_ballot_sum, *args)) for args in tuples]
+    assert [args for args, got in outcomes if got != _outcome(stepping_ballot_sum, *args)] == []
+    # Alternating sums from arbitrary x0 go negative, and both kernels raise.
+    assert any(isinstance(got, tuple) for _, got in outcomes)
+
+
+def test_ballot_sum_matches_stepping_kernel_on_a_seeded_sample():
+    rng = random.Random(20131)
+    for _ in range(200):
+        k, e, total, dx = rng.randint(1, 4), rng.randint(1, 400), rng.randint(0, 300), rng.choice(DXS)
+        # x0 ranges over starts that keep many terms nonzero, and a little past.
+        reach = (1 - dx) * total if dx < 1 else (dx - 1) * total
+        x0 = rng.randint(-20, reach + 20) if dx < 1 else rng.randint(-reach - 20, 20)
+        args = (k, e, total, x0, dx, rng.random() < 0.5)
+        assert _kernels_agree(args), args
+
+
+def test_ballot_sum_matches_stepping_kernel_at_n_1000():
+    # count_weak(2, N, 0, N, N, 3N) at N = 1000, a sum of 667 terms.
+    n = 1000
+    args = (2, 2 * n + 1, n, 2 * n, -2, True)
+    assert _ballot_sum(*args) == stepping_ballot_sum(*args) == count_weak(2, n, 0, n, n, 3 * n)

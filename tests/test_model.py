@@ -163,6 +163,27 @@ def test_step_set_vectors():
     assert boh.vector_for("D") == (1, -1)
 
 
+def test_step_set_maps_are_kept_and_letters_is_a_copy():
+    kor = StepSet.koroljuk(2)
+    fresh = kor.letters()
+    fresh["D"] = (9, 9)
+    assert kor.letters() == {"U": (1, 1), "D": (-2, 1)}
+    assert kor.letters() is not kor.letters()
+    assert kor.vector_for("D") == (-2, 1) and kor.letter_for((-2, 1)) == "D"
+    assert kor == StepSet.koroljuk(2) and hash(kor) == hash(StepSet.koroljuk(2))
+    assert repr(kor) == "StepSet(kind=<StepKind.KOROLJUK: 'koroljuk'>, param=2)"
+
+
+def test_step_set_lookup_errors():
+    unit = StepSet.unit()
+    with pytest.raises(ValidationError, match=r"^unknown step letter 'U' for unit steps$"):
+        unit.vector_for("U")
+    with pytest.raises(ValidationError, match=r"^step \(1, 1\) does not belong to the unit step set$"):
+        unit.letter_for((1, 1))
+    with pytest.raises(ValidationError, match=r"^step \[1, 0\] does not belong to the unit step set$"):
+        unit.letter_for([1, 0])
+
+
 def test_path_points_and_end():
     path = LatticePath.decode("VHV", StepSet.unit(), (0, 0))
     assert path.points() == [(0, 0), (0, 1), (1, 1), (1, 2)]
@@ -172,6 +193,16 @@ def test_path_points_and_end():
 def test_path_rejects_foreign_steps():
     with pytest.raises(ValidationError):
         LatticePath((0, 0), ((2, 2),), StepSet.unit())
+    with pytest.raises(ValidationError, match=r"^step \(1, 1\) does not belong to the bohm step set$"):
+        LatticePath((0, 0), [(1, 2), [1, 1]], StepSet.bohm(2))
+
+
+def test_trusted_path_equals_checked_path():
+    steps = ((1, 2), (1, -1), (1, -1))
+    checked = LatticePath([0, 3], [list(s) for s in steps], StepSet.bohm(2))
+    trusted = LatticePath._trusted((0, 3), steps, StepSet.bohm(2))
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    assert trusted.encode() == "UDD" and trusted.end == (3, 3)
 
 
 def test_decode_rejects_unknown_letters():

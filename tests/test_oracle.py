@@ -8,6 +8,7 @@ import pytest
 from latticepaths import (
     BohmQuery,
     KoroljukQuery,
+    LatticePath,
     PathQuery,
     ResourceLimitError,
     Strictness,
@@ -98,6 +99,17 @@ def test_enumerate_paths_is_lexicographic_and_matches_dp():
         assert encodings == sorted(encodings)
         assert len(set(encodings)) == len(encodings)
         assert len(paths) == dp_count(q)
+
+
+def test_listed_paths_equal_checked_paths():
+    # The walker builds its paths without LatticePath's checks; rebuilding
+    # each through the public constructor must give the same value.
+    q = PathQuery(0, -1, 4, 5, integer_slope(1, 1), WEAK)
+    walks = enumerate_stepset(BohmQuery(2, 2, 3, 3)) + enumerate_stepset(KoroljukQuery(1, 3, 4, 3))
+    for path in enumerate_paths(q) + walks:
+        rebuilt = LatticePath(list(path.start), [list(s) for s in path.steps], path.step_set)
+        assert rebuilt == path and hash(rebuilt) == hash(path)
+        assert LatticePath.decode(path.encode(), path.step_set, path.start) == path
 
 
 def test_enumerate_paths_guard():
