@@ -267,17 +267,8 @@ class LatticePath:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", tuple(self.start))
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        allowed, kind = self.step_set._letters, self.step_set.kind.value
         for step in self.steps:
-            if step not in allowed:
-                raise ValidationError(f"step {step} does not belong to the {kind} step set")
-
-    @classmethod
-    def _trusted(cls, start: tuple[int, int], steps: tuple, step_set: StepSet) -> "LatticePath":
-        """No checks: start must be a tuple and steps a tuple of step_set's vectors."""
-        path = object.__new__(cls)
-        path.__dict__.update(start=start, steps=steps, step_set=step_set)
-        return path
+            self.step_set.letter_for(step)  # raises ValidationError for a foreign step
 
     def points(self) -> list[tuple[int, int]]:
         """All visited points, start included, in traversal order."""
@@ -298,7 +289,7 @@ class LatticePath:
         return (x, y)
 
     def encode(self) -> str:
-        return "".join(map(self.step_set._letters.__getitem__, self.steps))
+        return "".join(map(self.step_set.letter_for, self.steps))
 
     @classmethod
     def decode(cls, text: str, step_set: StepSet, start: tuple[int, int] = (0, 0)) -> "LatticePath":

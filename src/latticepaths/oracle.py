@@ -75,7 +75,7 @@ def _walk(
 
     def rec(i: int, j: int) -> None:
         if i == width - 1 and j == height - 1:
-            out.append(LatticePath._trusted(start, tuple(steps), step_set))  # the set's own steps
+            out.append(LatticePath(start, tuple(steps), step_set))
             return
         for step, di, dj in moves:
             if thresholds[i + di] <= j + dj < height:

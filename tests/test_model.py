@@ -197,14 +197,6 @@ def test_path_rejects_foreign_steps():
         LatticePath((0, 0), [(1, 2), [1, 1]], StepSet.bohm(2))
 
 
-def test_trusted_path_equals_checked_path():
-    steps = ((1, 2), (1, -1), (1, -1))
-    checked = LatticePath([0, 3], [list(s) for s in steps], StepSet.bohm(2))
-    trusted = LatticePath._trusted((0, 3), steps, StepSet.bohm(2))
-    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
-    assert trusted.encode() == "UDD" and trusted.end == (3, 3)
-
-
 def test_decode_rejects_unknown_letters():
     with pytest.raises(ValidationError):
         LatticePath.decode("HXV", StepSet.unit())

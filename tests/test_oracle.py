@@ -102,8 +102,8 @@ def test_enumerate_paths_is_lexicographic_and_matches_dp():
 
 
 def test_listed_paths_equal_checked_paths():
-    # The walker builds its paths without LatticePath's checks; rebuilding
-    # each through the public constructor must give the same value.
+    # Every listed path survives a rebuild from plain lists and an
+    # encode/decode round trip through the step set's letter maps.
     q = PathQuery(0, -1, 4, 5, integer_slope(1, 1), WEAK)
     walks = enumerate_stepset(BohmQuery(2, 2, 3, 3)) + enumerate_stepset(KoroljukQuery(1, 3, 4, 3))
     for path in enumerate_paths(q) + walks:
