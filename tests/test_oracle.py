@@ -8,7 +8,6 @@ import pytest
 from latticepaths import (
     BohmQuery,
     KoroljukQuery,
-    LatticePath,
     PathQuery,
     ResourceLimitError,
     Strictness,
@@ -99,17 +98,6 @@ def test_enumerate_paths_is_lexicographic_and_matches_dp():
         assert encodings == sorted(encodings)
         assert len(set(encodings)) == len(encodings)
         assert len(paths) == dp_count(q)
-
-
-def test_listed_paths_equal_checked_paths():
-    # Every listed path survives a rebuild from plain lists and an
-    # encode/decode round trip through the step set's letter maps.
-    q = PathQuery(0, -1, 4, 5, integer_slope(1, 1), WEAK)
-    walks = enumerate_stepset(BohmQuery(2, 2, 3, 3)) + enumerate_stepset(KoroljukQuery(1, 3, 4, 3))
-    for path in enumerate_paths(q) + walks:
-        rebuilt = LatticePath(list(path.start), [list(s) for s in path.steps], path.step_set)
-        assert rebuilt == path and hash(rebuilt) == hash(path)
-        assert LatticePath.decode(path.encode(), path.step_set, path.start) == path
 
 
 def test_enumerate_paths_guard():
