@@ -22,7 +22,8 @@ walks with steps (1,1)/(-p,1) avoiding the vertical line x = c, positive
 altitude walks with steps (1,p)/(1,-1), and unit paths strictly above
 y = p*x - v.  The continuous rotations behind them pass through irrational
 coordinates, so they are realized here as integer step-sequence maps whose
-correctness rests on the exhaustive small-instance tests.
+correctness rests on the exhaustive small-instance tests.  Like the
+reflection, each walk map is a step relabelling through one table.
 """
 
 from __future__ import annotations
@@ -41,15 +42,20 @@ from .model import (
 
 _H = (1, 0)
 _V = (0, 1)
+_SWAP = {_H: _V, _V: _H}
 
 
 def _require_unit(path: LatticePath) -> None:
     require(path.step_set.kind is StepKind.UNIT, "transform expects a unit path")
 
 
-def _swap_reverse(steps: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Reverse the step order and swap horizontal with vertical unit steps."""
-    return tuple(_V if step == _H else _H for step in reversed(steps))
+def _recode(
+    path: LatticePath, table: dict, step_set: StepSet, start: tuple[int, int], reverse: bool = True
+) -> LatticePath:
+    """Relabel every step of ``path`` through ``table``, in reverse order when
+    ``reverse`` is set, as a path of ``step_set`` from ``start``."""
+    steps = reversed(path.steps) if reverse else path.steps
+    return LatticePath(start, tuple(table[s] for s in steps), step_set)
 
 
 def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -129,8 +135,7 @@ def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
         "input path is not weakly above the line",
     )
     m, n = path.end
-    start = (0, line.k * n + int(kr) - m)
-    return LatticePath(start, _swap_reverse(path.steps), path.step_set)
+    return _recode(path, _SWAP, path.step_set, (0, line.k * n + int(kr) - m))
 
 
 def reflect_inverse_back(
@@ -159,7 +164,7 @@ def reflect_inverse_back(
     )
     end_x, end_y = path.end
     source_start = (line.k * n + int(kr) - end_y, n - end_x)
-    return LatticePath(source_start, _swap_reverse(path.steps), path.step_set)
+    return _recode(path, _SWAP, path.step_set, source_start)
 
 
 def _check_avoiding(path: LatticePath, c: int) -> int:
@@ -175,6 +180,14 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
     return path.step_set.param
 
 
+def _check_positive(path: LatticePath, name: str) -> int:
+    """Validate an altitude walk of transform ``name`` and return its rise."""
+    require(path.step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
+    for _, alt in path.points():
+        require(alt >= 1, f"walk drops to altitude {alt} < 1")
+    return path.step_set.param
+
+
 def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
     """Map a walk avoiding x = c to a unit path strictly above y = p*x - v.
 
@@ -184,10 +197,8 @@ def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
     above y = p*x - v with v = c + p*n - m (>= 1 for any avoiding walk).
     Inverse: ``unit_to_koroljuk``.
     """
-    _check_avoiding(path, c)
-    unit = StepSet.unit()
-    steps = tuple(_V if step == (1, 1) else _H for step in reversed(path.steps))
-    return LatticePath((0, 0), steps, unit)
+    p = _check_avoiding(path, c)
+    return _recode(path, {(1, 1): _V, (-p, 1): _H}, StepSet.unit(), (0, 0))
 
 
 def unit_to_koroljuk(
@@ -215,9 +226,7 @@ def unit_to_koroljuk(
         path_above(path, integer_slope(p, v), Strictness.STRICT),
         f"input path is not strictly above y = {p}*x - {v}",
     )
-    walk = StepSet.koroljuk(p)
-    steps = tuple((1, 1) if step == _V else (-p, 1) for step in reversed(path.steps))
-    return LatticePath((0, 0), steps, walk)
+    return _recode(path, {_V: (1, 1), _H: (-p, 1)}, StepSet.koroljuk(p), (0, 0))
 
 
 def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
@@ -230,21 +239,16 @@ def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
     >= 1.  Inverse: ``bohm_unrotate``.
     """
     p = _check_avoiding(path, c)
-    walk = StepSet.bohm(p)
-    steps = tuple((1, -1) if step == (1, 1) else (1, p) for step in path.steps)
-    return LatticePath((0, c), steps, walk)
+    table = {(1, 1): (1, -1), (-p, 1): (1, p)}
+    return _recode(path, table, StepSet.bohm(p), (0, c), reverse=False)
 
 
 def bohm_unrotate(path: LatticePath, c: int) -> LatticePath:
     """Inverse of ``bohm_rotate``: map each visited point (x, y) to (c - y, x)."""
-    require(path.step_set.kind is StepKind.BOHM, "bohm_unrotate expects an altitude walk")
+    p = _check_positive(path, "bohm_unrotate")
     require(path.start == (0, c), f"walk must start at (0, {c}), got {path.start}")
-    for _, alt in path.points():
-        require(alt >= 1, f"walk drops to altitude {alt} < 1")
-    p = path.step_set.param
-    walk = StepSet.koroljuk(p)
-    steps = tuple((1, 1) if step == (1, -1) else (-p, 1) for step in path.steps)
-    return LatticePath((0, 0), steps, walk)
+    table = {(1, -1): (1, 1), (1, p): (-p, 1)}
+    return _recode(path, table, StepSet.koroljuk(p), (0, 0), reverse=False)
 
 
 def bohm_to_unit(path: LatticePath) -> LatticePath:
@@ -256,13 +260,8 @@ def bohm_to_unit(path: LatticePath) -> LatticePath:
     y = rise*x - end_altitude.  Composed after ``bohm_rotate`` this agrees
     with ``koroljuk_to_unit``.
     """
-    require(path.step_set.kind is StepKind.BOHM, "bohm_to_unit expects an altitude walk")
-    for _, alt in path.points():
-        require(alt >= 1, f"walk drops to altitude {alt} < 1")
-    rise = path.step_set.param
-    unit = StepSet.unit()
-    steps = tuple(_H if step == (1, rise) else _V for step in reversed(path.steps))
-    return LatticePath((0, 0), steps, unit)
+    rise = _check_positive(path, "bohm_to_unit")
+    return _recode(path, {(1, rise): _H, (1, -1): _V}, StepSet.unit(), (0, 0))
 
 
 def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
@@ -283,6 +282,5 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
         f"input path is not strictly above y = {rise}*x - {end_alt}",
     )
     ups, downs = path.end
-    walk = StepSet.bohm(rise)
-    steps = tuple((1, rise) if step == _H else (1, -1) for step in reversed(path.steps))
-    return LatticePath((0, end_alt - rise * ups + downs), steps, walk)
+    start = (0, end_alt - rise * ups + downs)
+    return _recode(path, {_H: (1, rise), _V: (1, -1)}, StepSet.bohm(rise), start)

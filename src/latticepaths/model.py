@@ -282,11 +282,7 @@ class LatticePath:
 
     @property
     def end(self) -> tuple[int, int]:
-        x, y = self.start
-        for dx, dy in self.steps:
-            x += dx
-            y += dy
-        return (x, y)
+        return self.points()[-1]
 
     def encode(self) -> str:
         return "".join(map(self.step_set.letter_for, self.steps))

@@ -16,7 +16,8 @@ they run:
   seeded random convolution and upper-negation identities, and
   ``cross_formula_sweep``.
 * ``run_bijections``: image membership, injectivity, cardinality, and round
-  trips for every path transform on exhaustively enumerated small instances.
+  trips for every path transform on exhaustively enumerated small instances;
+  a map that rejects its input counts as a failed check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .formulas import (
@@ -52,6 +54,7 @@ from .bijections import (
     unit_to_bohm,
     unit_to_koroljuk,
 )
+from .errors import ValidationError
 from .identities import (
     DEFAULT_SEED,
     CheckReport,
@@ -234,7 +237,7 @@ def intercept_normalization_sweep() -> SweepSummary:
                 distinct = set(values.values())
                 summary.record(
                     len(distinct) == 1,
-                    lambda line=line, weak_q=weak_q, values=values: (
+                    lambda weak_q=weak_q, values=values: (
                         f"intercept normalization {_describe_query(weak_q)}: {values}"
                     ),
                 )
@@ -406,116 +409,97 @@ def _check_bijection(
     forward: Callable[[LatticePath], LatticePath],
     backward: Callable[[LatticePath], LatticePath],
 ) -> None:
-    """Record the four bijection properties plus the reverse round trip."""
+    """Record the four bijection properties plus the reverse round trip.  A
+    map that rejects its input ends the case with one failed check."""
     target_keys = {_key(t) for t in target}
-    images = [forward(p) for p in source]
-    summary.record(
-        all(_key(image) in target_keys for image in images),
-        lambda: f"{label}: some image leaves the target family",
-    )
-    summary.record(
-        len({_key(image) for image in images}) == len(images),
-        lambda: f"{label}: transform is not injective",
-    )
-    summary.record(
-        len(source) == len(target),
-        lambda: f"{label}: |source| {len(source)} != |target| {len(target)}",
-    )
-    summary.record(
-        all(backward(image) == original for image, original in zip(images, source)),
-        lambda: f"{label}: inverse does not undo the transform",
-    )
-    summary.record(
-        all(forward(backward(t)) == t for t in target),
-        lambda: f"{label}: transform does not undo the inverse",
-    )
+    try:
+        images = [forward(p) for p in source]
+        summary.record(
+            all(_key(image) in target_keys for image in images),
+            lambda: f"{label}: some image leaves the target family",
+        )
+        summary.record(
+            len({_key(image) for image in images}) == len(images),
+            lambda: f"{label}: transform is not injective",
+        )
+        summary.record(
+            len(source) == len(target),
+            lambda: f"{label}: |source| {len(source)} != |target| {len(target)}",
+        )
+        summary.record(
+            all(backward(image) == original for image, original in zip(images, source)),
+            lambda: f"{label}: inverse does not undo the transform",
+        )
+        summary.record(
+            all(forward(backward(t)) == t for t in target),
+            lambda: f"{label}: transform does not undo the inverse",
+        )
+    except ValidationError as exc:
+        summary.record(False, f"{label}: a map rejected its input: {exc}")
 
 
-def _drop_one_sweep(max_steps: int) -> SweepSummary:
-    summary = SweepSummary()
-    for k in (1, 2):
-        for r in range(0, 4):
-            line = integer_slope(k, r)
-            for a in range(0, 3):
-                for m in range(a, a + 4):
-                    for b in range(1, 5):
-                        for n in range(b, b + 5):
-                            if (m - a) + (n - b) > max_steps:
-                                continue
-                            strict_q = PathQuery(a, b, m, n, line, Strictness.STRICT)
-                            if not validate_query(strict_q).ok:
-                                continue
-                            weak_q = PathQuery(a, b - 1, m, n - 1, line, Strictness.WEAK)
-                            _check_bijection(
-                                summary,
-                                f"drop-one k={k} r={r} ({a},{b})->({m},{n})",
-                                enumerate_paths(strict_q),
-                                enumerate_paths(weak_q),
-                                partial(drop_one, line=line),
-                                partial(raise_one, line=line),
-                            )
-    return summary
+def _bijection_cases(max_steps: int) -> Iterator[tuple]:
+    """(label, source paths, target paths, forward, backward) of the unit-path
+    transforms and of the altitude-walk-to-unit map, on the instances of
+    their grids with at most ``max_steps`` steps."""
 
+    def sources(line, strictness, a_range, b_range, width, height):
+        """(a, b, m, n, paths) of each boundary-valid query from (a, b) to
+        (m, n) within the step budget, 0 <= m - a < width, 0 <= n - b < height."""
+        for a in a_range:
+            for m in range(a, a + width):
+                for b in b_range:
+                    for n in range(b, b + height):
+                        if (m - a) + (n - b) > max_steps:
+                            continue
+                        q = PathQuery(a, b, m, n, line, strictness)
+                        if validate_query(q).ok:
+                            yield a, b, m, n, enumerate_paths(q)
 
-def _lemma_translate_sweep(max_steps: int) -> SweepSummary:
-    summary = SweepSummary()
-    for k in (1, 2):
-        for r in range(0, 4):
-            line = integer_slope(k, r)
-            for a in range(1, 4):
-                for m in range(a, a + 4):
-                    for b in range(k, k + 4):
-                        for n in range(b, b + 5):
-                            if (m - a) + (n - b) > max_steps:
-                                continue
-                            source_q = PathQuery(a, b, m, n, line, Strictness.WEAK)
-                            if not validate_query(source_q).ok:
-                                continue
-                            target_q = PathQuery(
-                                a - 1, b - k, m - 1, n - k, line, Strictness.WEAK
-                            )
-                            _check_bijection(
-                                summary,
-                                f"lemma-translate k={k} r={r} ({a},{b})->({m},{n})",
-                                enumerate_paths(source_q),
-                                enumerate_paths(target_q),
-                                partial(lemma_translate, line=line),
-                                partial(lemma_translate_back, line=line),
-                            )
-    return summary
-
-
-def _reflect_sweep(max_steps: int) -> SweepSummary:
-    summary = SweepSummary()
-    for k in (1, 2, 3):
-        for kr in range(0, 4):
-            line = inverse_slope(k, Fraction(kr, k))
-            for a in range(0, 3):
-                for m in range(a, a + 3):
-                    for b in range(0, 3):
-                        for n in range(b, b + 3):
-                            if (m - a) + (n - b) > max_steps:
-                                continue
-                            source_q = PathQuery(a, b, m, n, line, Strictness.WEAK)
-                            if not validate_query(source_q).ok:
-                                continue
-                            target_q = PathQuery(
-                                0,
-                                k * n + kr - m,
-                                n - b,
-                                k * n + kr - a,
-                                integer_slope(k, 0),
-                                Strictness.WEAK,
-                            )
-                            _check_bijection(
-                                summary,
-                                f"reflect-inverse k={k} k*r={kr} ({a},{b})->({m},{n})",
-                                enumerate_paths(source_q),
-                                enumerate_paths(target_q),
-                                partial(reflect_inverse, line=line),
-                                partial(reflect_inverse_back, line=line, end=(m, n)),
-                            )
-    return summary
+    for k, r in product((1, 2), range(0, 4)):
+        line = integer_slope(k, r)
+        for a, b, m, n, source in sources(line, Strictness.STRICT, range(3), range(1, 5), 4, 5):
+            yield (
+                f"drop-one k={k} r={r} ({a},{b})->({m},{n})",
+                source,
+                enumerate_paths(PathQuery(a, b - 1, m, n - 1, line, Strictness.WEAK)),
+                partial(drop_one, line=line),
+                partial(raise_one, line=line),
+            )
+    for k, r in product((1, 2), range(0, 4)):
+        line = integer_slope(k, r)
+        for a, b, m, n, source in sources(line, Strictness.WEAK, range(1, 4), range(k, k + 4), 4, 5):
+            yield (
+                f"lemma-translate k={k} r={r} ({a},{b})->({m},{n})",
+                source,
+                enumerate_paths(PathQuery(a - 1, b - k, m - 1, n - k, line, Strictness.WEAK)),
+                partial(lemma_translate, line=line),
+                partial(lemma_translate_back, line=line),
+            )
+    for k, kr in product((1, 2, 3), range(0, 4)):
+        line = inverse_slope(k, Fraction(kr, k))
+        target_line = integer_slope(k, 0)
+        for a, b, m, n, source in sources(line, Strictness.WEAK, range(3), range(3), 3, 3):
+            yield (
+                f"reflect-inverse k={k} k*r={kr} ({a},{b})->({m},{n})",
+                source,
+                enumerate_paths(PathQuery(
+                    0, k * n + kr - m, n - b, k * n + kr - a, target_line, Strictness.WEAK
+                )),
+                partial(reflect_inverse, line=line),
+                partial(reflect_inverse_back, line=line, end=(m, n)),
+            )
+    for q in _bohm_grid():
+        if q.ups + q.down_steps > max_steps:
+            continue
+        target_line = integer_slope(q.rise, q.end_alt)
+        yield (
+            f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
+            enumerate_stepset(q),
+            enumerate_paths(PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)),
+            bohm_to_unit,
+            partial(unit_to_bohm, rise=q.rise, end_alt=q.end_alt),
+        )
 
 
 def _walk_sweep(max_steps: int) -> SweepSummary:
@@ -530,13 +514,12 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
         walk_q = KoroljukQuery(p, c, m, n)
         walks = enumerate_stepset(walk_q)
         v = c + p * n - m
-        if m + n <= composite_steps:
-            summary.record(
-                all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks),
-                lambda p=p, c=c, m=m, n=n: (
-                    f"composite route differs from the direct map p={p} c={c} m={m} n={n}"
-                ),
-            )
+        summary.record(
+            all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks),
+            lambda p=p, c=c, m=m, n=n: (
+                f"composite route differs from the direct map p={p} c={c} m={m} n={n}"
+            ),
+        )
         if m + n > max_steps:
             continue
         split = count_stepset(walk_q)
@@ -576,34 +559,12 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
     return summary
 
 
-def _bohm_to_unit_sweep(max_steps: int) -> SweepSummary:
-    summary = SweepSummary()
-    for q in _bohm_grid():
-        if q.ups + q.down_steps > max_steps:
-            continue
-        unit_q = PathQuery(
-            0, 0, q.ups, q.down_steps, integer_slope(q.rise, q.end_alt), Strictness.STRICT
-        )
-        _check_bijection(
-            summary,
-            f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
-            enumerate_stepset(q),
-            enumerate_paths(unit_q),
-            bohm_to_unit,
-            partial(unit_to_bohm, rise=q.rise, end_alt=q.end_alt),
-        )
-    return summary
-
-
 def run_bijections(max_steps: int = 10) -> SweepSummary:
     """All transform suites on instances of at most ``max_steps`` steps; the
     composite-route consistency check runs two steps beyond that."""
     if max_steps < 0:
         return SweepSummary()
-    return SweepSummary().merge(
-        _drop_one_sweep(max_steps),
-        _lemma_translate_sweep(max_steps),
-        _reflect_sweep(max_steps),
-        _walk_sweep(max_steps),
-        _bohm_to_unit_sweep(max_steps),
-    )
+    summary = _walk_sweep(max_steps)
+    for case in _bijection_cases(max_steps):
+        _check_bijection(summary, *case)
+    return summary

@@ -1,5 +1,8 @@
 """The public surface of the package: exactly these names, each resolving."""
 
+import ast
+from pathlib import Path
+
 import latticepaths
 
 PUBLIC_NAMES = """
@@ -36,3 +39,23 @@ def test_every_public_name_resolves():
 
 def test_shared_helpers_stay_private():
     assert not hasattr(latticepaths, "require")
+
+
+def _imports(module_file):
+    """{source module: imported names} of a module's ``from`` imports."""
+    tree = ast.parse((Path(latticepaths.__file__).parent / module_file).read_text())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+    return found
+
+
+def test_two_route_rule_holds_in_the_imports():
+    # The oracle never uses the arithmetic in formulas, only its query dataclasses.
+    assert _imports("oracle.py")["formulas"] == {"BohmQuery", "KoroljukQuery"}
+    # The path correspondences build on the model alone.
+    assert set(_imports("bijections.py")) == {"errors", "model"}

@@ -207,6 +207,20 @@ def test_bohm_to_unit_lands_in_strict_family():
         assert image.end == (target.m, target.n)
 
 
+@pytest.mark.parametrize("transform", [bohm_to_unit, lambda walk: bohm_unrotate(walk, 1)],
+                         ids=["bohm_to_unit", "bohm_unrotate"])
+def test_altitude_walk_maps_reject_a_walk_to_altitude_zero(transform):
+    walk = LatticePath.decode("DD", StepSet.bohm(1), (0, 1))
+    with pytest.raises(ValidationError, match="walk drops to altitude 0 < 1"):
+        transform(walk)
+
+
+def test_bohm_to_unit_rejects_a_koroljuk_walk():
+    walk = LatticePath.decode("UU", StepSet.koroljuk(1), (0, 0))
+    with pytest.raises(ValidationError, match="bohm_to_unit expects an altitude walk"):
+        bohm_to_unit(walk)
+
+
 def test_composite_rotation_agrees_with_direct_map():
     for walk in enumerate_stepset(KoroljukQuery(2, 3, 4, 1)):
         direct = koroljuk_to_unit(walk, 3)

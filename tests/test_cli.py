@@ -222,6 +222,12 @@ def test_transform_drop_one_empty_path(capsys):
     assert out == "(empty) @ (0,0)\n"
 
 
+def test_transform_lemma_translate(capsys):
+    code, out, err = run(capsys, "transform", "--map", "lemma-translate",
+                         "--slope", "1", "--intercept", "0", "--from", "1,1", "--path", "VH")
+    assert (code, out, err) == (0, "VH @ (0,0)\n", "")
+
+
 def test_transform_bohm_rotate(capsys):
     code, out, _ = run(capsys, "transform", "--map", "bohm-rotate",
                        "--p", "1", "--c", "2", "--path", "DUU")
@@ -333,6 +339,10 @@ GOLDEN_JSON = [
       "--from", "0,1"), 0,
      '{"command": "transform", "parameters": {"map": "drop-one", "path": ""}, '
      '"result": {"steps": "", "start": [0, 0]}, "ok": true}\n', ""),
+    (("transform", "--map", "lemma-translate", "--slope", "1", "--intercept", "0",
+      "--from", "1,1", "--path", "VH"), 0,
+     '{"command": "transform", "parameters": {"map": "lemma-translate", "path": "VH"}, '
+     '"result": {"steps": "VH", "start": [0, 0]}, "ok": true}\n', ""),
     (("verify", "sweep", "--max-k", "1", "--max-extent", "3"), 0,
      '{"command": "verify sweep", "parameters": {"max_k": 1, "max_extent": 3}, '
      '"result": {"checks": 824, "failures": 0, "first_failure": null}, "ok": true}\n', ""),

@@ -7,6 +7,7 @@ import latticepaths.identities as identities_module
 import latticepaths.verify as verify_module
 from latticepaths import (
     LatticePath,
+    StepSet,
     complement_sweep,
     cross_formula_sweep,
     formula_oracle_sweep,
@@ -72,3 +73,26 @@ def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
     summary = run_bijections(2)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("drop-one")
+
+
+@pytest.mark.parametrize("name, wrong_inverse, label", [
+    # Moves the start up instead of down: undoing it leaves the source family.
+    ("lemma_translate_back",
+     lambda path, line: LatticePath(
+         (path.start[0], path.start[1] + 1), path.steps, path.step_set),
+     "lemma-translate"),
+    # Keeps the path as it is instead of reversing and swapping its steps.
+    ("reflect_inverse_back", lambda path, line, end: path, "reflect-inverse"),
+    # Forgets the steps: every unit path goes back to the empty walk.
+    ("unit_to_koroljuk",
+     lambda path, p, c: LatticePath((0, 0), (), StepSet.koroljuk(p)),
+     "koroljuk-to-unit"),
+    ("unit_to_bohm",
+     lambda path, rise, end_alt: LatticePath((0, end_alt), (), StepSet.bohm(rise)),
+     "bohm-to-unit"),
+], ids=["lemma-translate", "reflect-inverse", "koroljuk-to-unit", "bohm-to-unit"])
+def test_run_bijections_reports_a_wrong_inverse(monkeypatch, name, wrong_inverse, label):
+    monkeypatch.setattr(verify_module, name, wrong_inverse)
+    summary = run_bijections(2)
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith(label)
