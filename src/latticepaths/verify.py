@@ -443,7 +443,10 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
     transforms and of the altitude-walk-to-unit map, on the instances of
     their grids with at most ``max_steps`` steps."""
 
-    def sources(line, strictness, a_range, b_range, width, height):
+    def sources(
+        line: BoundaryLine, strictness: Strictness, a_range: range, b_range: range,
+        width: int, height: int,
+    ) -> Iterator[tuple[int, int, int, int, list[LatticePath]]]:
         """(a, b, m, n, paths) of each boundary-valid query from (a, b) to
         (m, n) within the step budget, 0 <= m - a < width, 0 <= n - b < height."""
         for a in a_range:
