@@ -42,7 +42,8 @@ def test_shared_helpers_stay_private():
 
 
 def _imports(module_file):
-    """{source module: imported names} of a module's ``from`` imports."""
+    """{imported module: imported names} of a package module; a plain
+    ``import x`` maps x to no names."""
     tree = ast.parse((Path(latticepaths.__file__).parent / module_file).read_text())
     found = {}
     for node in ast.walk(tree):
