@@ -2,12 +2,14 @@
 
 Every transform takes explicit paths (``model.LatticePath``), validates that
 the input belongs to the declared source family, and returns the image path.
-The bijection claims (image lands in the target family, injectivity,
-matching cardinalities, round trips) are enforced by the oracle-backed test
-sweeps rather than re-checked inside each call.
+Membership above a line is decided in integers, point by point, against the
+threshold ``model.min_ordinate_above``.  The bijection claims (image lands in
+the target family, injectivity, matching cardinalities, round trips) are
+enforced by the oracle-backed test sweeps rather than re-checked inside each call.
 
 The unit-path transforms relate strict and weak families above integer- and
-inverse-slope lines:
+inverse-slope lines.  The four translations share one helper that runs their
+checks in a fixed order and shifts the start:
 
 * ``drop_one`` / ``raise_one``: strictly above y = k*x - r from (a, b)
   versus weakly above from (a, b-1), same steps.
@@ -28,7 +30,7 @@ reflection, each walk map is a step relabelling through one table.
 
 from __future__ import annotations
 
-from .errors import require
+from .errors import ValidationError, require
 from .model import (
     BoundaryLine,
     LatticePath,
@@ -58,6 +60,28 @@ def _recode(
     return LatticePath(start, tuple(table[s] for s in steps), step_set)
 
 
+def _require_above(
+    path: LatticePath, line: BoundaryLine, strictness: Strictness, where: str = "the line"
+) -> None:
+    if not path_above(path, line, strictness):
+        raise ValidationError(f"input path is not {strictness.value}ly above {where}")
+
+
+def _translate(
+    path: LatticePath, line: BoundaryLine, name: str, strictness: Strictness,
+    shift: tuple[int, int], *conditions: tuple[bool, str],
+) -> LatticePath:
+    """Check a unit path and an integer-slope line, each (condition, message)
+    pair in turn, then membership; return the path moved by ``shift``."""
+    _require_unit(path)
+    require(line.kind is SlopeKind.INTEGER, f"{name} works above integer-slope lines")
+    for condition, message in conditions:
+        require(condition, message)
+    _require_above(path, line, strictness)
+    (x, y), (dx, dy) = path.start, shift
+    return LatticePath((x + dx, y + dy), path.steps, path.step_set)
+
+
 def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Lower a strictly-above path by one vertical unit.
 
@@ -65,27 +89,19 @@ def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     integral r.  Image: the same step sequence from (a, b-1), weakly above
     the same line.  Inverse: ``raise_one``.
     """
-    _require_unit(path)
-    require(line.kind is SlopeKind.INTEGER, "drop_one works above integer-slope lines")
-    require(line.r.denominator == 1, "drop_one needs an integral intercept")
-    require(path.start[1] >= 1, f"start ordinate must be >= 1, got {path.start[1]}")
-    require(
-        path_above(path, line, Strictness.STRICT),
-        "input path is not strictly above the line",
+    return _translate(
+        path, line, "drop_one", Strictness.STRICT, (0, -1),
+        (line.r.denominator == 1, "drop_one needs an integral intercept"),
+        (path.start[1] >= 1, f"start ordinate must be >= 1, got {path.start[1]}"),
     )
-    return LatticePath((path.start[0], path.start[1] - 1), path.steps, path.step_set)
 
 
 def raise_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``drop_one``: lift a weakly-above path by one vertical unit."""
-    _require_unit(path)
-    require(line.kind is SlopeKind.INTEGER, "raise_one works above integer-slope lines")
-    require(line.r.denominator == 1, "raise_one needs an integral intercept")
-    require(
-        path_above(path, line, Strictness.WEAK),
-        "input path is not weakly above the line",
+    return _translate(
+        path, line, "raise_one", Strictness.WEAK, (0, 1),
+        (line.r.denominator == 1, "raise_one needs an integral intercept"),
     )
-    return LatticePath((path.start[0], path.start[1] + 1), path.steps, path.step_set)
 
 
 def lemma_translate(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -96,26 +112,25 @@ def lemma_translate(path: LatticePath, line: BoundaryLine) -> LatticePath:
     step sequence from (a-1, b-k), weakly above the same line.  Inverse:
     ``lemma_translate_back``.
     """
-    _require_unit(path)
-    require(line.kind is SlopeKind.INTEGER, "lemma_translate works above integer-slope lines")
-    require(path.start[0] >= 1, f"start abscissa must be >= 1, got {path.start[0]}")
-    require(path.start[1] >= line.k, f"start ordinate must be >= k = {line.k}, got {path.start[1]}")
-    require(
-        path_above(path, line, Strictness.WEAK),
-        "input path is not weakly above the line",
+    return _translate(
+        path, line, "lemma_translate", Strictness.WEAK, (-1, -line.k),
+        (path.start[0] >= 1, f"start abscissa must be >= 1, got {path.start[0]}"),
+        (path.start[1] >= line.k, f"start ordinate must be >= k = {line.k}, got {path.start[1]}"),
     )
-    return LatticePath((path.start[0] - 1, path.start[1] - line.k), path.steps, path.step_set)
 
 
 def lemma_translate_back(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``lemma_translate``: translate by (+1, +k)."""
+    return _translate(path, line, "lemma_translate_back", Strictness.WEAK, (1, line.k))
+
+
+def _integral_kr(path: LatticePath, line: BoundaryLine, kind_message: str) -> int:
+    """Check a unit path and an inverse-slope line with k*r integral; return k*r."""
     _require_unit(path)
-    require(line.kind is SlopeKind.INTEGER, "lemma_translate_back works above integer-slope lines")
-    require(
-        path_above(path, line, Strictness.WEAK),
-        "input path is not weakly above the line",
-    )
-    return LatticePath((path.start[0] + 1, path.start[1] + line.k), path.steps, path.step_set)
+    require(line.kind is SlopeKind.INVERSE, kind_message)
+    kr = line.k * line.r
+    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    return int(kr)
 
 
 def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -126,16 +141,10 @@ def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
     image runs from (0, k*(n+r) - m) to (n - b, k*(n+r) - a) and is weakly
     above y = k*x.  Inverse: ``reflect_inverse_back``.
     """
-    _require_unit(path)
-    require(line.kind is SlopeKind.INVERSE, "reflect_inverse works above inverse-slope lines")
-    kr = line.k * line.r
-    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
-    require(
-        path_above(path, line, Strictness.WEAK),
-        "input path is not weakly above the line",
-    )
+    kr = _integral_kr(path, line, "reflect_inverse works above inverse-slope lines")
+    _require_above(path, line, Strictness.WEAK)
     m, n = path.end
-    return _recode(path, _SWAP, path.step_set, (0, line.k * n + int(kr) - m))
+    return _recode(path, _SWAP, path.step_set, (0, line.k * n + kr - m))
 
 
 def reflect_inverse_back(
@@ -148,22 +157,16 @@ def reflect_inverse_back(
     which the input must match.  Returns the unique source path whose image
     is ``path``.
     """
-    _require_unit(path)
-    require(line.kind is SlopeKind.INVERSE, "reflect_inverse_back works with inverse-slope lines")
-    kr = line.k * line.r
-    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
+    kr = _integral_kr(path, line, "reflect_inverse_back works with inverse-slope lines")
     m, n = end
-    image_start = (0, line.k * n + int(kr) - m)
+    image_start = (0, line.k * n + kr - m)
     require(
         path.start == image_start,
         f"parameter mismatch: image paths start at {image_start}, got {path.start}",
     )
-    require(
-        path_above(path, integer_slope(line.k, 0), Strictness.WEAK),
-        "input path is not weakly above y = k*x",
-    )
+    _require_above(path, integer_slope(line.k, 0), Strictness.WEAK, "y = k*x")
     end_x, end_y = path.end
-    source_start = (line.k * n + int(kr) - end_y, n - end_x)
+    source_start = (line.k * n + kr - end_y, n - end_x)
     return _recode(path, _SWAP, path.step_set, source_start)
 
 
@@ -176,7 +179,8 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
     require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
     require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
     for x, _ in path.points():
-        require(x < c, f"walk touches or crosses x = {c} at abscissa {x}")
+        if x >= c:
+            raise ValidationError(f"walk touches or crosses x = {c} at abscissa {x}")
     return path.step_set.param
 
 
@@ -184,7 +188,8 @@ def _check_positive(path: LatticePath, name: str) -> int:
     """Validate an altitude walk of transform ``name`` and return its rise."""
     require(path.step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
     for _, alt in path.points():
-        require(alt >= 1, f"walk drops to altitude {alt} < 1")
+        if alt < 1:
+            raise ValidationError(f"walk drops to altitude {alt} < 1")
     return path.step_set.param
 
 
@@ -222,10 +227,7 @@ def unit_to_koroljuk(
         f"parameter mismatch: c + p*n - m = {v}, got intercept {intercept}",
     )
     require(v >= 1, f"need c + p*n - m >= 1, got {v}")
-    require(
-        path_above(path, integer_slope(p, v), Strictness.STRICT),
-        f"input path is not strictly above y = {p}*x - {v}",
-    )
+    _require_above(path, integer_slope(p, v), Strictness.STRICT, f"y = {p}*x - {v}")
     return _recode(path, {_V: (1, 1), _H: (-p, 1)}, StepSet.koroljuk(p), (0, 0))
 
 
@@ -277,10 +279,8 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
     require(rise >= 1, f"need rise >= 1, got {rise}")
     require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
     require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
-    require(
-        path_above(path, integer_slope(rise, end_alt), Strictness.STRICT),
-        f"input path is not strictly above y = {rise}*x - {end_alt}",
-    )
+    _require_above(path, integer_slope(rise, end_alt), Strictness.STRICT,
+                   f"y = {rise}*x - {end_alt}")
     ups, downs = path.end
     start = (0, end_alt - rise * ups + downs)
     return _recode(path, {_H: (1, rise), _V: (1, -1)}, StepSet.bohm(rise), start)

@@ -240,10 +240,6 @@ class KoroljukQuery:
             if getattr(self, name) < 1:
                 raise ValidationError(f"KoroljukQuery needs {name} >= 1, got {getattr(self, name)}")
 
-    @property
-    def end(self) -> tuple[int, int]:
-        return (self.m - self.p * self.n, self.m + self.n)
-
 
 def koroljuk_literal(q: KoroljukQuery) -> int:
     """Count of the walks that meet x = c, as a sum over abscissae s ≡ c

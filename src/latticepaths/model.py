@@ -294,5 +294,5 @@ class LatticePath:
 
 
 def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
-    """Whether every visited point of the path lies above the line."""
-    return all(above(pt, line, strictness) for pt in path.points())
+    """Whether every visited point (x, y) has y >= ``min_ordinate_above`` at x."""
+    return all(y >= min_ordinate_above(line, x, strictness) for x, y in path.points())

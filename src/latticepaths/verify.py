@@ -514,30 +514,28 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
     for p, c, m, n in KOROLJUK_GRID:
         if c > 5 or m + n > composite_steps:
             continue
+        case = f"p={p} c={c} m={m} n={n}"
         walk_q = KoroljukQuery(p, c, m, n)
         walks = enumerate_stepset(walk_q)
         v = c + p * n - m
-        summary.record(
-            all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks),
-            lambda p=p, c=c, m=m, n=n: (
-                f"composite route differs from the direct map p={p} c={c} m={m} n={n}"
-            ),
-        )
+        try:
+            same = all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks)
+        except ValidationError as exc:
+            summary.record(False, f"composite route {case}: a map rejected its input: {exc}")
+        else:
+            summary.record(same, lambda: f"composite route differs from the direct map {case}")
         if m + n > max_steps:
             continue
         split = count_stepset(walk_q)
         summary.record(
             split.avoiding == len(walks),
-            lambda p=p, c=c, m=m, n=n, split=split, walks=walks: (
-                f"walk census p={p} c={c} m={m} n={n}: "
-                f"{split.avoiding} vs {len(walks)} enumerated"
-            ),
+            lambda: f"walk census {case}: {split.avoiding} vs {len(walks)} enumerated",
         )
         if v >= 1:
             unit_q = PathQuery(0, 0, n, m, integer_slope(p, v), Strictness.STRICT)
             _check_bijection(
                 summary,
-                f"koroljuk-to-unit p={p} c={c} m={m} n={n}",
+                f"koroljuk-to-unit {case}",
                 walks,
                 enumerate_paths(unit_q),
                 partial(koroljuk_to_unit, c=c),
@@ -545,7 +543,7 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
             )
             _check_bijection(
                 summary,
-                f"bohm-rotate p={p} c={c} m={m} n={n}",
+                f"bohm-rotate {case}",
                 walks,
                 enumerate_stepset(BohmQuery(p, c, v, n)),
                 partial(bohm_rotate, c=c),
@@ -554,10 +552,7 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
         else:
             summary.record(
                 not walks,
-                lambda p=p, c=c, m=m, n=n, walks=walks: (
-                    f"avoiding walks exist below the feasibility line "
-                    f"p={p} c={c} m={m} n={n}: {len(walks)}"
-                ),
+                lambda: f"avoiding walks exist below the feasibility line {case}: {len(walks)}",
             )
     return summary
 

@@ -238,6 +238,103 @@ def test_transforms_reject_foreign_step_sets():
         bohm_rotate(path, 2)
 
 
+def _unit(text, start=(0, 0)):
+    return LatticePath.decode(text, UNIT, start)
+
+
+_WALK = LatticePath.decode("UUU", StepSet.koroljuk(1), (0, 0))
+_HALF = Fraction(1, 2)
+
+
+# One bad input per check of each map.  Most inputs also break later checks of
+# the same map, so the message pins which check fires first.
+@pytest.mark.parametrize("call, message", [
+    (lambda: drop_one(_WALK, inverse_slope(1, _HALF)), "transform expects a unit path"),
+    (lambda: drop_one(_unit("H"), inverse_slope(1, _HALF)), "drop_one works above integer-slope lines"),
+    (lambda: drop_one(_unit("H"), integer_slope(1, _HALF)), "drop_one needs an integral intercept"),
+    (lambda: drop_one(_unit("H"), integer_slope(1, 0)), "start ordinate must be >= 1, got 0"),
+    (lambda: drop_one(_unit("HH", (0, 1)), integer_slope(1, 0)), "input path is not strictly above the line"),
+    (lambda: raise_one(_WALK, inverse_slope(1, _HALF)), "transform expects a unit path"),
+    (lambda: raise_one(_unit("HH"), inverse_slope(1, _HALF)), "raise_one works above integer-slope lines"),
+    (lambda: raise_one(_unit("HH"), integer_slope(1, _HALF)), "raise_one needs an integral intercept"),
+    (lambda: raise_one(_unit("HH"), integer_slope(1, 0)), "input path is not weakly above the line"),
+    (lambda: lemma_translate(_WALK, inverse_slope(2)), "transform expects a unit path"),
+    (lambda: lemma_translate(_unit("HH"), inverse_slope(2)), "lemma_translate works above integer-slope lines"),
+    (lambda: lemma_translate(_unit("HH"), integer_slope(2)), "start abscissa must be >= 1, got 0"),
+    (lambda: lemma_translate(_unit("HH", (1, 1)), integer_slope(2)), "start ordinate must be >= k = 2, got 1"),
+    (lambda: lemma_translate(_unit("H", (1, 2)), integer_slope(2)), "input path is not weakly above the line"),
+    (lambda: lemma_translate_back(_WALK, inverse_slope(2)), "transform expects a unit path"),
+    (lambda: lemma_translate_back(_unit("HH"), inverse_slope(2)),
+     "lemma_translate_back works above integer-slope lines"),
+    (lambda: lemma_translate_back(_unit("HH"), integer_slope(2)), "input path is not weakly above the line"),
+    (lambda: reflect_inverse(_WALK, integer_slope(2, Fraction(1, 4))), "transform expects a unit path"),
+    (lambda: reflect_inverse(_unit("HHH"), integer_slope(2, Fraction(1, 4))),
+     "reflect_inverse works above inverse-slope lines"),
+    (lambda: reflect_inverse(_unit("HHH"), inverse_slope(2, Fraction(1, 4))), "need k*r integral, got k*r = 1/2"),
+    (lambda: reflect_inverse(_unit("HHH"), inverse_slope(2)), "input path is not weakly above the line"),
+    (lambda: reflect_inverse_back(_WALK, integer_slope(2, Fraction(1, 4)), (1, 2)), "transform expects a unit path"),
+    (lambda: reflect_inverse_back(_unit("HH"), integer_slope(2, Fraction(1, 4)), (1, 2)),
+     "reflect_inverse_back works with inverse-slope lines"),
+    (lambda: reflect_inverse_back(_unit("HH"), inverse_slope(2, Fraction(1, 4)), (1, 2)),
+     "need k*r integral, got k*r = 1/2"),
+    (lambda: reflect_inverse_back(_unit("HH"), inverse_slope(1), (1, 2)),
+     "parameter mismatch: image paths start at (0, 1), got (0, 0)"),
+    (lambda: reflect_inverse_back(_unit("HH", (0, 1)), inverse_slope(1), (1, 2)),
+     "input path is not weakly above y = k*x"),
+    (lambda: koroljuk_to_unit(_unit("HH", (1, 0)), 0), "transform expects a (1,1)/(-p,1) walk"),
+    (lambda: koroljuk_to_unit(LatticePath.decode("UU", StepSet.koroljuk(1), (1, 0)), 0),
+     "the avoided line x = c needs c >= 1, got 0"),
+    (lambda: koroljuk_to_unit(LatticePath.decode("UU", StepSet.koroljuk(1), (1, 0)), 1),
+     "walk must start at the origin, got (1, 0)"),
+    (lambda: koroljuk_to_unit(_WALK, 2), "walk touches or crosses x = 2 at abscissa 2"),
+    (lambda: bohm_rotate(_unit("HH", (1, 0)), 0), "transform expects a (1,1)/(-p,1) walk"),
+    (lambda: bohm_rotate(LatticePath.decode("UU", StepSet.koroljuk(1), (1, 0)), 0),
+     "the avoided line x = c needs c >= 1, got 0"),
+    (lambda: bohm_rotate(LatticePath.decode("UU", StepSet.koroljuk(1), (1, 0)), 1),
+     "walk must start at the origin, got (1, 0)"),
+    (lambda: bohm_rotate(_WALK, 2), "walk touches or crosses x = 2 at abscissa 2"),
+    (lambda: unit_to_koroljuk(_WALK, 0, 0, 5), "transform expects a unit path"),
+    (lambda: unit_to_koroljuk(_unit("VVV", (1, 0)), 0, 0, 5), "need p >= 1, got 0"),
+    (lambda: unit_to_koroljuk(_unit("VVV", (1, 0)), 1, 0, 5), "need c >= 1, got 0"),
+    (lambda: unit_to_koroljuk(_unit("VVV", (1, 0)), 1, 1, 5), "path must start at the origin, got (1, 0)"),
+    (lambda: unit_to_koroljuk(_unit("VVV"), 1, 1, 5), "parameter mismatch: c + p*n - m = -2, got intercept 5"),
+    (lambda: unit_to_koroljuk(_unit("VVV"), 1, 1), "need c + p*n - m >= 1, got -2"),
+    (lambda: unit_to_koroljuk(_unit("HV"), 1, 1), "input path is not strictly above y = 1*x - 1"),
+    (lambda: bohm_unrotate(_unit("HH"), 2), "bohm_unrotate expects an altitude walk"),
+    (lambda: bohm_unrotate(LatticePath.decode("DDD", StepSet.bohm(1), (0, 1)), 2), "walk drops to altitude 0 < 1"),
+    (lambda: bohm_unrotate(LatticePath.decode("UD", StepSet.bohm(1), (0, 1)), 2),
+     "walk must start at (0, 2), got (0, 1)"),
+    (lambda: bohm_to_unit(_WALK), "bohm_to_unit expects an altitude walk"),
+    (lambda: bohm_to_unit(LatticePath.decode("DDD", StepSet.bohm(1), (0, 1))), "walk drops to altitude 0 < 1"),
+    (lambda: unit_to_bohm(_WALK, 0, 0), "transform expects a unit path"),
+    (lambda: unit_to_bohm(_unit("HV", (1, 0)), 0, 0), "need rise >= 1, got 0"),
+    (lambda: unit_to_bohm(_unit("HV", (1, 0)), 1, 0), "need end_alt >= 1, got 0"),
+    (lambda: unit_to_bohm(_unit("HV", (1, 0)), 1, 1), "path must start at the origin, got (1, 0)"),
+    (lambda: unit_to_bohm(_unit("HV"), 1, 1), "input path is not strictly above y = 1*x - 1"),
+], ids=[
+    "drop_one-steps", "drop_one-slope", "drop_one-intercept", "drop_one-start", "drop_one-member",
+    "raise_one-steps", "raise_one-slope", "raise_one-intercept", "raise_one-member",
+    "lemma_translate-steps", "lemma_translate-slope", "lemma_translate-abscissa",
+    "lemma_translate-ordinate", "lemma_translate-member",
+    "lemma_translate_back-steps", "lemma_translate_back-slope", "lemma_translate_back-member",
+    "reflect_inverse-steps", "reflect_inverse-slope", "reflect_inverse-kr", "reflect_inverse-member",
+    "reflect_inverse_back-steps", "reflect_inverse_back-slope", "reflect_inverse_back-kr",
+    "reflect_inverse_back-start", "reflect_inverse_back-member",
+    "koroljuk_to_unit-steps", "koroljuk_to_unit-c", "koroljuk_to_unit-start", "koroljuk_to_unit-avoid",
+    "bohm_rotate-steps", "bohm_rotate-c", "bohm_rotate-start", "bohm_rotate-avoid",
+    "unit_to_koroljuk-steps", "unit_to_koroljuk-p", "unit_to_koroljuk-c", "unit_to_koroljuk-start",
+    "unit_to_koroljuk-intercept", "unit_to_koroljuk-v", "unit_to_koroljuk-member",
+    "bohm_unrotate-steps", "bohm_unrotate-altitude", "bohm_unrotate-start",
+    "bohm_to_unit-steps", "bohm_to_unit-altitude",
+    "unit_to_bohm-steps", "unit_to_bohm-rise", "unit_to_bohm-end_alt", "unit_to_bohm-start",
+    "unit_to_bohm-member",
+])
+def test_each_check_of_each_map_keeps_its_message(call, message):
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 @given(st.text(alphabet="HV", max_size=8), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=3))
 def test_drop_one_round_trip_property(text, k, r):

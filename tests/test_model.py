@@ -222,6 +222,22 @@ def test_path_above_checks_every_point():
     assert not path_above(bad, line, WEAK)
 
 
+@given(
+    st.sampled_from([SlopeKind.INTEGER, SlopeKind.INVERSE]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=5),
+    st.tuples(st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5)),
+    st.text(alphabet="HV", max_size=10),
+    st.sampled_from([WEAK, STRICT]),
+)
+def test_path_above_agrees_with_above_at_every_point(kind, k, num, den, start, text, strictness):
+    line = BoundaryLine(kind, k, Fraction(num, den))
+    path = LatticePath.decode(text, StepSet.unit(), start)
+    expected = all(above(pt, line, strictness) for pt in path.points())
+    assert path_above(path, line, strictness) == expected
+
+
 def test_describe_mentions_slope_shape():
     assert "2" in integer_slope(2, 1).describe()
     assert "1/2" in inverse_slope(2, 1).describe()

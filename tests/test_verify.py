@@ -8,6 +8,7 @@ import latticepaths.verify as verify_module
 from latticepaths import (
     LatticePath,
     StepSet,
+    bohm_rotate,
     complement_sweep,
     cross_formula_sweep,
     formula_oracle_sweep,
@@ -19,6 +20,7 @@ from latticepaths import (
     run_identities,
     upper_negation_sweep,
 )
+from latticepaths.cli import main
 
 
 @pytest.mark.parametrize("sweep, args, checks", [
@@ -96,3 +98,18 @@ def test_run_bijections_reports_a_wrong_inverse(monkeypatch, name, wrong_inverse
     summary = run_bijections(2)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith(label)
+
+
+def test_run_bijections_reports_a_rotation_the_composite_route_rejects(monkeypatch, capsys):
+    def lowered(path, c):
+        # Starts the altitude walk one unit low, so bohm_to_unit rejects some images.
+        image = bohm_rotate(path, c)
+        return LatticePath((image.start[0], image.start[1] - 1), image.steps, image.step_set)
+
+    monkeypatch.setattr(verify_module, "bohm_rotate", lowered)
+    summary = run_bijections(1)
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith("composite route p=")
+    assert summary.first_failure.endswith(": a map rejected its input: walk drops to altitude 0 < 1")
+    assert main(["verify", "bijections", "--max-steps", "1"]) == 1
+    assert f"(first failure: {summary.first_failure})" in capsys.readouterr().out
