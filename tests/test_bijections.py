@@ -1,5 +1,6 @@
 """Tests for the path correspondences and their declared inverses."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from latticepaths import (
     reflect_inverse_back,
     unit_to_bohm,
     unit_to_koroljuk,
+    verify,
 )
 
 WEAK = Strictness.WEAK
@@ -345,3 +347,20 @@ def test_drop_one_round_trip_property(text, k, r):
     image = drop_one(path, line)
     assert path_above(image, line, WEAK)
     assert raise_one(image, line) == path
+
+
+def test_every_map_keeps_its_images_over_the_small_sweep(monkeypatch):
+    # The sweeps check that each map is a bijection, not which bijection it is.
+    # This digest of every image and inverse image over the run_bijections(4)
+    # instances pins the maps themselves.
+    digest = hashlib.sha256()
+
+    def record(summary, label, source, target, forward, backward):
+        for kind, paths, transform in (("image", source, forward), ("inverse", target, backward)):
+            for path in paths:
+                image = transform(path)
+                digest.update(f"{label}|{kind}|{image.start}|{image.encode()}\n".encode())
+
+    monkeypatch.setattr(verify, "_check_bijection", record)
+    verify.run_bijections(4)
+    assert digest.hexdigest() == "b0344df2b9b1ccbd06a148a65112b43760adf630e02f6885bd34729be4f03721"
