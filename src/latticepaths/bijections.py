@@ -2,9 +2,10 @@
 
 Every transform takes explicit paths (``model.LatticePath``), validates that
 the input belongs to the declared source family, and returns the image path.
-Membership above a line is decided in integers, point by point, against the
-threshold ``model.min_ordinate_above``.  The bijection claims (image lands in
-the target family, injectivity, matching cardinalities, round trips) are
+Membership above a line is decided in integers by ``model.path_above``, one
+running sum of the line's linear form along the path's word; the walk checks
+are running sums of abscissa or altitude.  The bijection claims (image lands
+in the target family, injectivity, matching cardinalities, round trips) are
 enforced by the oracle-backed test sweeps rather than re-checked inside each call.
 
 The unit-path transforms relate strict and weak families above integer- and
@@ -25,7 +26,7 @@ altitude walks with steps (1,p)/(1,-1), and unit paths strictly above
 y = p*x - v.  The continuous rotations behind them pass through irrational
 coordinates, so they are realized here as integer step-sequence maps whose
 correctness rests on the exhaustive small-instance tests.  Like the
-reflection, each walk map is a step relabelling through one table.
+reflection, each walk map relabels the path's word through one letter table.
 """
 
 from __future__ import annotations
@@ -42,9 +43,14 @@ from .model import (
     path_above,
 )
 
-_H = (1, 0)
-_V = (0, 1)
-_SWAP = {_H: _V, _V: _H}
+# Letter tables of the relabellings: H = (1,0), V = (0,1) on unit paths;
+# U = (1,1), D = (-p,1) on walks; U = (1,rise), D = (1,-1) on altitude walks.
+_SWAP = str.maketrans("HV", "VH")
+_KOROLJUK_TO_UNIT = str.maketrans("UD", "VH")
+_UNIT_TO_KOROLJUK = str.maketrans("VH", "UD")
+_ROTATE = str.maketrans("UD", "DU")  # either way between the two walk families
+_BOHM_TO_UNIT = str.maketrans("UD", "HV")
+_UNIT_TO_BOHM = str.maketrans("HV", "UD")
 
 
 def _require_unit(path: LatticePath) -> None:
@@ -54,10 +60,11 @@ def _require_unit(path: LatticePath) -> None:
 def _recode(
     path: LatticePath, table: dict, step_set: StepSet, start: tuple[int, int], reverse: bool = True
 ) -> LatticePath:
-    """Relabel every step of ``path`` through ``table``, in reverse order when
-    ``reverse`` is set, as a path of ``step_set`` from ``start``."""
-    steps = reversed(path.steps) if reverse else path.steps
-    return LatticePath(start, tuple(table[s] for s in steps), step_set)
+    """Relabel every letter of ``path`` through the ``str.maketrans`` table,
+    in reverse order when ``reverse`` is set, as a path of ``step_set`` from
+    ``start``."""
+    word = path.word[::-1] if reverse else path.word
+    return LatticePath(start, word.translate(table), step_set)
 
 
 def _require_above(
@@ -79,7 +86,7 @@ def _translate(
         require(condition, message)
     _require_above(path, line, strictness)
     (x, y), (dx, dy) = path.start, shift
-    return LatticePath((x + dx, y + dy), path.steps, path.step_set)
+    return LatticePath((x + dx, y + dy), path.word, path.step_set)
 
 
 def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -128,9 +135,10 @@ def _integral_kr(path: LatticePath, line: BoundaryLine, kind_message: str) -> in
     """Check a unit path and an inverse-slope line with k*r integral; return k*r."""
     _require_unit(path)
     require(line.kind is SlopeKind.INVERSE, kind_message)
-    kr = line.k * line.r
-    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
-    return int(kr)
+    kr_num, r_den = line.k * line.r.numerator, line.r.denominator
+    if kr_num % r_den:
+        raise ValidationError(f"need k*r integral, got k*r = {line.k * line.r}")
+    return kr_num // r_den
 
 
 def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -178,7 +186,10 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
     require(path.step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
     require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
     require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
-    for x, _ in path.points():
+    shift = {letter: dx for letter, (dx, _) in path.step_set.letters().items()}
+    x = 0  # the origin lies left of x = c
+    for letter in path.word:
+        x += shift[letter]
         if x >= c:
             raise ValidationError(f"walk touches or crosses x = {c} at abscissa {x}")
     return path.step_set.param
@@ -187,9 +198,14 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
 def _check_positive(path: LatticePath, name: str) -> int:
     """Validate an altitude walk of transform ``name`` and return its rise."""
     require(path.step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
-    for _, alt in path.points():
+    shift = {letter: dy for letter, (_, dy) in path.step_set.letters().items()}
+    alt = path.start[1]
+    for letter in path.word:
         if alt < 1:
-            raise ValidationError(f"walk drops to altitude {alt} < 1")
+            break
+        alt += shift[letter]
+    if alt < 1:
+        raise ValidationError(f"walk drops to altitude {alt} < 1")
     return path.step_set.param
 
 
@@ -202,8 +218,8 @@ def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
     above y = p*x - v with v = c + p*n - m (>= 1 for any avoiding walk).
     Inverse: ``unit_to_koroljuk``.
     """
-    p = _check_avoiding(path, c)
-    return _recode(path, {(1, 1): _V, (-p, 1): _H}, StepSet.unit(), (0, 0))
+    _check_avoiding(path, c)
+    return _recode(path, _KOROLJUK_TO_UNIT, StepSet.unit(), (0, 0))
 
 
 def unit_to_koroljuk(
@@ -228,7 +244,7 @@ def unit_to_koroljuk(
     )
     require(v >= 1, f"need c + p*n - m >= 1, got {v}")
     _require_above(path, integer_slope(p, v), Strictness.STRICT, f"y = {p}*x - {v}")
-    return _recode(path, {_V: (1, 1), _H: (-p, 1)}, StepSet.koroljuk(p), (0, 0))
+    return _recode(path, _UNIT_TO_KOROLJUK, StepSet.koroljuk(p), (0, 0))
 
 
 def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
@@ -241,16 +257,14 @@ def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
     >= 1.  Inverse: ``bohm_unrotate``.
     """
     p = _check_avoiding(path, c)
-    table = {(1, 1): (1, -1), (-p, 1): (1, p)}
-    return _recode(path, table, StepSet.bohm(p), (0, c), reverse=False)
+    return _recode(path, _ROTATE, StepSet.bohm(p), (0, c), reverse=False)
 
 
 def bohm_unrotate(path: LatticePath, c: int) -> LatticePath:
     """Inverse of ``bohm_rotate``: map each visited point (x, y) to (c - y, x)."""
     p = _check_positive(path, "bohm_unrotate")
     require(path.start == (0, c), f"walk must start at (0, {c}), got {path.start}")
-    table = {(1, -1): (1, 1), (1, p): (-p, 1)}
-    return _recode(path, table, StepSet.koroljuk(p), (0, 0), reverse=False)
+    return _recode(path, _ROTATE, StepSet.koroljuk(p), (0, 0), reverse=False)
 
 
 def bohm_to_unit(path: LatticePath) -> LatticePath:
@@ -262,8 +276,8 @@ def bohm_to_unit(path: LatticePath) -> LatticePath:
     y = rise*x - end_altitude.  Composed after ``bohm_rotate`` this agrees
     with ``koroljuk_to_unit``.
     """
-    rise = _check_positive(path, "bohm_to_unit")
-    return _recode(path, {(1, rise): _H, (1, -1): _V}, StepSet.unit(), (0, 0))
+    _check_positive(path, "bohm_to_unit")
+    return _recode(path, _BOHM_TO_UNIT, StepSet.unit(), (0, 0))
 
 
 def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
@@ -283,4 +297,4 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
                    f"y = {rise}*x - {end_alt}")
     ups, downs = path.end
     start = (0, end_alt - rise * ups + downs)
-    return _recode(path, {_H: (1, rise), _V: (1, -1)}, StepSet.bohm(rise), start)
+    return _recode(path, _UNIT_TO_BOHM, StepSet.bohm(rise), start)

@@ -7,14 +7,19 @@ Conventions used throughout the package:
   parameter r.  Larger r moves the line down.
 * A point satisfies a WEAK constraint when it lies on or above the line and
   a STRICT constraint when it lies strictly above.  Comparisons are done in
-  cross-multiplied integer arithmetic; no floating point anywhere.
+  cross-multiplied integer arithmetic; no floating point anywhere.  The
+  path tests (``path_above``, ``min_ordinate_above``) use one integer linear
+  form per line: (x, y) is above it when A*y - B*x + C >= s, with s = 0 for
+  WEAK and 1 for STRICT, so each step adds a constant to the form.  ``above``
+  keeps the rational boundary value as the reference they are tested against.
 * A PathQuery asks for monotone unit paths (steps east (1,0) and north
   (0,1)) from (a, b) to (m, n) whose every visited point satisfies the
   constraint.  Start ordinates below zero are legal; they arise from
   vertically shifted queries.
 * Step strings use one letter per step: H/V for unit paths, U/D for the
   two-letter families ((1,1)/(-p,1) diagonal-with-backjump walks and
-  (1,rise)/(1,-1) altitude walks).
+  (1,rise)/(1,-1) altitude walks).  A LatticePath stores its steps as this
+  word; the step vectors are derived from it.
 
 Non-integral intercepts never change which lattice points satisfy the
 constraint compared to a canonical snapped value; ``normalize_intercept``
@@ -24,9 +29,11 @@ strict and weak constraints coincide.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .errors import ValidationError
 from .exactmath import Rational
@@ -61,6 +68,16 @@ class BoundaryLine:
             return self.k * x - self.r
         return Fraction(x, self.k) - self.r
 
+    def _form(self) -> tuple[int, int, int]:
+        """Integers (A, B, C), A > 0, with (x, y) weakly above the line exactly
+        when A*y - B*x + C >= 0 and strictly above when it is >= 1: the line
+        cross-multiplied by the intercept's denominator (and by k for the
+        inverse slope)."""
+        r_num, r_den = self.r.numerator, self.r.denominator
+        if self.kind is SlopeKind.INTEGER:
+            return r_den, self.k * r_den, r_num
+        return self.k * r_den, r_den, self.k * r_num
+
     def describe(self) -> str:
         slope = str(self.k) if self.kind is SlopeKind.INTEGER else f"1/{self.k}"
         return f"y = {slope}*x - ({self.r})"
@@ -85,20 +102,11 @@ def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) ->
 
 
 def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> int:
-    """Smallest integer y with (x, y) above the line; exact ceiling arithmetic.
-
-    The boundary value is num/den with den > 0, formed in integers from k and
-    the intercept's numerator and denominator: (k*x*r_den - r_num)/r_den for
-    the integer slope, (x*r_den - k*r_num)/(k*r_den) for the inverse slope.
-    """
-    r_num, r_den = line.r.numerator, line.r.denominator
-    if line.kind is SlopeKind.INTEGER:
-        num, den = line.k * x * r_den - r_num, r_den
-    else:
-        num, den = x * r_den - line.k * r_num, line.k * r_den
-    if strictness is Strictness.WEAK:
-        return -((-num) // den)  # ceil(num/den)
-    return num // den + 1  # floor(num/den) + 1
+    """Smallest integer y with (x, y) above the line: the line's linear form
+    A*y - B*x + C >= s solved for y, ceil((B*x - C + s)/A)."""
+    a, b, c = line._form()
+    s = 1 if strictness is Strictness.STRICT else 0
+    return -((c - s - b * x) // a)
 
 
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:
@@ -209,7 +217,8 @@ class StepKind(Enum):
 
 @dataclass(frozen=True)
 class StepSet:
-    """A named two-step alphabet together with its letter encoding."""
+    """A named two-step alphabet together with its letter encoding.  The
+    factories ``unit``, ``koroljuk`` and ``bohm`` share one instance per argument."""
 
     kind: StepKind
     param: int = 0  # p for KOROLJUK, rise for BOHM, unused for UNIT
@@ -229,14 +238,17 @@ class StepSet:
         object.__setattr__(self, "_letters", {vec: letter for letter, vec in vectors.items()})
 
     @staticmethod
+    @cache
     def unit() -> "StepSet":
         return StepSet(StepKind.UNIT)
 
     @staticmethod
+    @cache
     def koroljuk(p: int) -> "StepSet":
         return StepSet(StepKind.KOROLJUK, p)
 
     @staticmethod
+    @cache
     def bohm(rise: int) -> "StepSet":
         return StepSet(StepKind.BOHM, rise)
 
@@ -256,25 +268,47 @@ class StepSet:
             raise ValidationError(f"step {step} does not belong to the {self.kind.value} step set") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LatticePath:
-    """A start point plus a finite step sequence from a declared step set."""
+    """A start point plus a word of step letters from a declared step set.
+
+    ``steps`` may be given as step vectors or as the word of their letters;
+    either way a step outside the set raises ValidationError.  Equality and
+    hashing follow (start, word, step set).
+    """
 
     start: tuple[int, int]
-    steps: tuple[tuple[int, int], ...]
+    word: str
     step_set: StepSet
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", tuple(self.start))
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        for step in self.steps:
-            self.step_set.letter_for(step)  # raises ValidationError for a foreign step
+    def __init__(
+        self, start: tuple[int, int], steps: Iterable[tuple[int, int]] | str, step_set: StepSet
+    ) -> None:
+        if isinstance(steps, str):
+            word = steps
+            if not set(word) <= step_set._vectors.keys():
+                for letter in word:
+                    step_set.vector_for(letter)  # raises for the first foreign letter
+        else:
+            word = "".join([step_set.letter_for(tuple(step)) for step in steps])
+        object.__setattr__(self, "start", tuple(start))
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "step_set", step_set)
+
+    @property
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(self.step_set._vectors.__getitem__, self.word))
+
+    def __repr__(self) -> str:
+        return f"LatticePath(start={self.start!r}, steps={self.steps!r}, step_set={self.step_set!r})"
 
     def points(self) -> list[tuple[int, int]]:
         """All visited points, start included, in traversal order."""
         x, y = self.start
         out = [(x, y)]
-        for dx, dy in self.steps:
+        vectors = self.step_set._vectors
+        for letter in self.word:
+            dx, dy = vectors[letter]
             x += dx
             y += dy
             out.append((x, y))
@@ -285,14 +319,24 @@ class LatticePath:
         return self.points()[-1]
 
     def encode(self) -> str:
-        return "".join(map(self.step_set.letter_for, self.steps))
+        return self.word
 
     @classmethod
     def decode(cls, text: str, step_set: StepSet, start: tuple[int, int] = (0, 0)) -> "LatticePath":
-        steps = tuple(step_set.vector_for(ch) for ch in text)
-        return cls(start, steps, step_set)
+        return cls(start, text, step_set)
 
 
 def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
-    """Whether every visited point (x, y) has y >= ``min_ordinate_above`` at x."""
-    return all(y >= min_ordinate_above(line, x, strictness) for x, y in path.points())
+    """Whether every visited point lies above the line: one running sum of
+    the line's linear form, a constant increment per step letter."""
+    a, b, c = line._form()
+    x, y = path.start
+    level = a * y - b * x + c - (1 if strictness is Strictness.STRICT else 0)
+    if level < 0:
+        return False
+    rise = {letter: a * dy - b * dx for letter, (dx, dy) in path.step_set._vectors.items()}
+    for letter in path.word:
+        level += rise[letter]
+        if level < 0:
+            return False
+    return True

@@ -10,7 +10,7 @@ paths i and j are the offsets of x and y from the start and lo comes from
 ``model.min_ordinate_above`` (exact ceiling arithmetic on the rational
 boundary value, no floating point).  The walk families put the counts of
 steps used of each kind on the two axes.  One kernel tabulates a map and
-one walker lists its paths.
+one walker lists its paths, each as the word of its step letters.
 
 Counts tabulate, for each cell, the paths that end there, so their cost is
 the number of cells, and tables of more than MAX_DP_CELLS cells are
@@ -68,20 +68,19 @@ def _walk(
             f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
         )
     thresholds = [lo(i) for i in range(width)] + [height]  # the column past the end is closed
-    order = sorted([(letters[0], 1, 0), (letters[1], 0, 1)])  # letter order is output order
-    moves = [(step_set.vector_for(letter), di, dj) for letter, di, dj in order]
+    moves = sorted([(letters[0], 1, 0), (letters[1], 0, 1)])  # letter order is output order
     out: list[LatticePath] = []
-    steps: list[tuple[int, int]] = []
+    word: list[str] = []
 
     def rec(i: int, j: int) -> None:
         if i == width - 1 and j == height - 1:
-            out.append(LatticePath(start, tuple(steps), step_set))
+            out.append(LatticePath(start, "".join(word), step_set))
             return
-        for step, di, dj in moves:
+        for letter, di, dj in moves:
             if thresholds[i + di] <= j + dj < height:
-                steps.append(step)
+                word.append(letter)
                 rec(i + di, j + dj)
-                steps.pop()
+                word.pop()
 
     if thresholds[0] <= 0:
         rec(0, 0)

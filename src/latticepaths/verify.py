@@ -397,8 +397,8 @@ def run_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary
 # Bijection suites
 
 
-def _key(path: LatticePath) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
-    return (path.start, path.steps)
+def _key(path: LatticePath) -> tuple[tuple[int, int], str]:
+    return (path.start, path.word)
 
 
 def _check_bijection(
@@ -450,14 +450,13 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         """(a, b, m, n, paths) of each boundary-valid query from (a, b) to
         (m, n) within the step budget, 0 <= m - a < width, 0 <= n - b < height."""
         for a in a_range:
+            start_floor = min_ordinate_above(line, a, strictness)
             for m in range(a, a + width):
+                end_floor = min_ordinate_above(line, m, strictness)
                 for b in b_range:
                     for n in range(b, b + height):
-                        if (m - a) + (n - b) > max_steps:
-                            continue
-                        q = PathQuery(a, b, m, n, line, strictness)
-                        if validate_query(q).ok:
-                            yield a, b, m, n, enumerate_paths(q)
+                        if (m - a) + (n - b) <= max_steps and b >= start_floor and n >= end_floor:
+                            yield a, b, m, n, enumerate_paths(PathQuery(a, b, m, n, line, strictness))
 
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latticepaths import (
@@ -12,10 +12,12 @@ from latticepaths import (
     PathQuery,
     QueryCategory,
     SlopeKind,
+    StepKind,
     StepSet,
     Strictness,
     ValidationError,
     above,
+    enumerate_paths,
     integer_slope,
     inverse_slope,
     min_ordinate_above,
@@ -78,6 +80,8 @@ def test_min_ordinate_above_matches_predicate():
     st.integers(min_value=-5, max_value=20),
     st.sampled_from([WEAK, STRICT]),
 )
+@example(SlopeKind.INTEGER, 2, 1, 1, 3, STRICT)  # (3, 5) lies on the line
+@example(SlopeKind.INVERSE, 3, -2, 3, -4, STRICT)
 def test_min_ordinate_above_is_the_threshold_of_above(kind, k, num, den, x, strictness):
     line = BoundaryLine(kind, k, Fraction(num, den))
     y = min_ordinate_above(line, x, strictness)
@@ -174,6 +178,13 @@ def test_step_set_maps_are_kept_and_letters_is_a_copy():
     assert repr(kor) == "StepSet(kind=<StepKind.KOROLJUK: 'koroljuk'>, param=2)"
 
 
+def test_step_set_factories_share_one_instance_per_argument():
+    assert StepSet.unit() is StepSet.unit()
+    assert StepSet.koroljuk(2) is StepSet.koroljuk(2) and StepSet.bohm(3) is StepSet.bohm(3)
+    assert StepSet.koroljuk(2) is not StepSet.koroljuk(3)
+    assert StepSet.koroljuk(2) == StepSet(StepKind.KOROLJUK, 2)
+
+
 def test_step_set_lookup_errors():
     unit = StepSet.unit()
     with pytest.raises(ValidationError, match=r"^unknown step letter 'U' for unit steps$"):
@@ -190,6 +201,35 @@ def test_path_points_and_end():
     assert path.end == (1, 2)
 
 
+def test_path_contract_holds_across_its_constructions():
+    unit = LatticePath((1, 2), ((1, 0), (0, 1), (0, 1)), StepSet.unit())
+    assert repr(unit) == (
+        "LatticePath(start=(1, 2), steps=((1, 0), (0, 1), (0, 1)), "
+        "step_set=StepSet(kind=<StepKind.UNIT: 'unit'>, param=0))"
+    )
+    walk = LatticePath([0, 0], [[1, 1], (-2, 1)], StepSet.koroljuk(2))
+    assert repr(walk) == (
+        "LatticePath(start=(0, 0), steps=((1, 1), (-2, 1)), "
+        "step_set=StepSet(kind=<StepKind.KOROLJUK: 'koroljuk'>, param=2))"
+    )
+    assert walk.steps == ((1, 1), (-2, 1)) and walk.start == (0, 0) and walk.encode() == "UD"
+    assert walk != LatticePath.decode("UD", StepSet.koroljuk(1))
+    assert walk != LatticePath.decode("UD", StepSet.bohm(2))
+
+    decoded = LatticePath.decode("HVV", StepSet.unit(), (1, 2))
+    listed = [p for p in enumerate_paths(PathQuery(1, 2, 2, 4, integer_slope(1, 0), WEAK))
+              if p.encode() == "HVV"]
+    for other in (decoded, *listed, LatticePath((1, 2), "HVV", StepSet.unit())):
+        assert other == unit and hash(other) == hash(unit)
+    assert len(listed) == 1
+    assert unit != LatticePath.decode("HVV", StepSet.unit(), (1, 3))
+    assert len({unit, decoded, *listed}) == 1
+
+    for field in ("start", "steps", "step_set", "word"):
+        with pytest.raises(AttributeError):
+            setattr(unit, field, None)
+
+
 def test_path_rejects_foreign_steps():
     with pytest.raises(ValidationError):
         LatticePath((0, 0), ((2, 2),), StepSet.unit())
@@ -198,8 +238,10 @@ def test_path_rejects_foreign_steps():
 
 
 def test_decode_rejects_unknown_letters():
-    with pytest.raises(ValidationError):
-        LatticePath.decode("HXV", StepSet.unit())
+    with pytest.raises(ValidationError, match=r"^unknown step letter 'X' for unit steps$"):
+        LatticePath.decode("HXVY", StepSet.unit())
+    with pytest.raises(ValidationError, match=r"^unknown step letter 'H' for koroljuk steps$"):
+        LatticePath.decode("UDHV", StepSet.koroljuk(1))
 
 
 @given(st.text(alphabet="HV", max_size=12))
@@ -230,10 +272,21 @@ def test_path_above_checks_every_point():
     st.tuples(st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5)),
     st.text(alphabet="HV", max_size=10),
     st.sampled_from([WEAK, STRICT]),
+    st.sampled_from([StepSet.unit(), StepSet.koroljuk(1), StepSet.koroljuk(3),
+                     StepSet.bohm(1), StepSet.bohm(2)]),
 )
-def test_path_above_agrees_with_above_at_every_point(kind, k, num, den, start, text, strictness):
+@example(SlopeKind.INTEGER, 1, 1, 1, (0, 0), "VHV", STRICT, StepSet.unit())
+@example(SlopeKind.INVERSE, 2, 1, 2, (3, 0), "HV", STRICT, StepSet.unit())
+@example(SlopeKind.INTEGER, 2, 3, 1, (0, -2), "VVHVV", WEAK, StepSet.unit())
+@example(SlopeKind.INVERSE, 3, -5, 3, (-4, -3), "HVHH", STRICT, StepSet.koroljuk(2))
+def test_path_above_agrees_with_above_at_every_point(kind, k, num, den, start, text, strictness,
+                                                     step_set):
+    # The linear-form running sum against the Fraction reference at every
+    # visited point; the walk step sets spell their words with U for H and D for V.
     line = BoundaryLine(kind, k, Fraction(num, den))
-    path = LatticePath.decode(text, StepSet.unit(), start)
+    if step_set.kind is not StepKind.UNIT:
+        text = text.translate(str.maketrans("HV", "UD"))
+    path = LatticePath.decode(text, step_set, start)
     expected = all(above(pt, line, strictness) for pt in path.points())
     assert path_above(path, line, strictness) == expected
 
