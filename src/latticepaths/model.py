@@ -272,9 +272,8 @@ class StepSet:
 class LatticePath:
     """A start point plus a word of step letters from a declared step set.
 
-    ``steps`` may be given as step vectors or as the word of their letters;
-    either way a step outside the set raises ValidationError.  Equality and
-    hashing follow (start, word, step set).
+    ``steps`` may be step vectors or the word of their letters; a step outside
+    the set raises ValidationError.  Equality follows (start, word, step set).
     """
 
     start: tuple[int, int]
@@ -284,15 +283,13 @@ class LatticePath:
     def __init__(
         self, start: tuple[int, int], steps: Iterable[tuple[int, int]] | str, step_set: StepSet
     ) -> None:
-        if isinstance(steps, str):
-            word = steps
-            if not set(word) <= step_set._vectors.keys():
-                for letter in word:
-                    step_set.vector_for(letter)  # raises for the first foreign letter
-        else:
-            word = "".join([step_set.letter_for(tuple(step)) for step in steps])
+        if not isinstance(steps, str):
+            steps = "".join([step_set.letter_for(tuple(step)) for step in steps])
+        elif not set(steps) <= step_set._vectors.keys():
+            for letter in steps:
+                step_set.vector_for(letter)  # raises for the first foreign letter
         object.__setattr__(self, "start", tuple(start))
-        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "word", steps)
         object.__setattr__(self, "step_set", step_set)
 
     @property
