@@ -68,15 +68,16 @@ class BoundaryLine:
             return self.k * x - self.r
         return Fraction(x, self.k) - self.r
 
-    def _form(self) -> tuple[int, int, int]:
-        """Integers (A, B, C), A > 0, with (x, y) weakly above the line exactly
-        when A*y - B*x + C >= 0 and strictly above when it is >= 1: the line
+    def _form(self, strictness: Strictness) -> tuple[int, int, int]:
+        """Integers (A, B, C - s), A > 0, with (x, y) above the line exactly
+        when A*y - B*x + C >= s, s = 0 for WEAK and 1 for STRICT: the line
         cross-multiplied by the intercept's denominator (and by k for the
         inverse slope)."""
         r_num, r_den = self.r.numerator, self.r.denominator
+        s = 1 if strictness is Strictness.STRICT else 0
         if self.kind is SlopeKind.INTEGER:
-            return r_den, self.k * r_den, r_num
-        return self.k * r_den, r_den, self.k * r_num
+            return r_den, self.k * r_den, r_num - s
+        return self.k * r_den, r_den, self.k * r_num - s
 
     def describe(self) -> str:
         slope = str(self.k) if self.kind is SlopeKind.INTEGER else f"1/{self.k}"
@@ -103,10 +104,9 @@ def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) ->
 
 def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> int:
     """Smallest integer y with (x, y) above the line: the line's linear form
-    A*y - B*x + C >= s solved for y, ceil((B*x - C + s)/A)."""
-    a, b, c = line._form()
-    s = 1 if strictness is Strictness.STRICT else 0
-    return -((c - s - b * x) // a)
+    A*y - B*x + C >= s solved for y, ceil((B*x - (C - s))/A)."""
+    a, b, c = line._form(strictness)
+    return -((c - b * x) // a)
 
 
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:
@@ -294,6 +294,7 @@ class LatticePath:
 
     @property
     def steps(self) -> tuple[tuple[int, int], ...]:
+        """The step vectors, spelled out from the word."""
         return tuple(map(self.step_set._vectors.__getitem__, self.word))
 
     def __repr__(self) -> str:
@@ -326,9 +327,9 @@ class LatticePath:
 def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
     """Whether every visited point lies above the line: one running sum of
     the line's linear form, a constant increment per step letter."""
-    a, b, c = line._form()
+    a, b, c = line._form(strictness)
     x, y = path.start
-    level = a * y - b * x + c - (1 if strictness is Strictness.STRICT else 0)
+    level = a * y - b * x + c
     if level < 0:
         return False
     rise = {letter: a * dy - b * dx for letter, (dx, dy) in path.step_set._vectors.items()}
