@@ -13,6 +13,7 @@ draw parameters from seeded generators so every run is reproducible;
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -35,11 +36,11 @@ from .formulas import (
 )
 
 DEFAULT_SEED = 7
+HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
+UPPER_NEGATION_MAX_K = 12  # largest lower index of a random upper-negation draw
 
 
 def _plain(value: object) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
     return repr(value) if isinstance(value, str) else str(value)
 
 
@@ -241,20 +242,18 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     )
 
 
-def random_hagen_rothe(rng: random.Random, max_n: int = 12) -> HagenRotheParams:
-    """Draw identity parameters with numerators and denominators in [-6, 6],
-    rejecting triples whose leading factor would divide by zero."""
+def random_hagen_rothe(rng: random.Random) -> HagenRotheParams:
+    """Draw numerators and denominators in [-6, 6] and 0 <= n <= HAGEN_ROTHE_MAX_N,
+    again while HagenRotheParams rejects the leading factor's division by zero."""
     while True:
-        n = rng.randint(0, max_n)
-        alpha, beta, gamma = (
-            Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)
-        )
-        if all(gamma + beta * i != 0 for i in range(n + 1)):
+        n = rng.randint(0, HAGEN_ROTHE_MAX_N)
+        alpha, beta, gamma = (Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3))
+        with suppress(ValidationError):
             return HagenRotheParams(alpha, beta, gamma, n)
 
 
-def random_upper_negation(rng: random.Random, max_k: int = 12) -> tuple[Fraction, int]:
+def random_upper_negation(rng: random.Random) -> tuple[Fraction, int]:
     """Draw a rational upper index with numerator/denominator in [-6, 6] and
-    a lower index 0 <= k <= max_k."""
+    a lower index 0 <= k <= UPPER_NEGATION_MAX_K."""
     x = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-    return (x, rng.randint(0, max_k))
+    return (x, rng.randint(0, UPPER_NEGATION_MAX_K))

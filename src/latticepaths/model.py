@@ -29,7 +29,7 @@ strict and weak constraints coincide.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -85,11 +85,11 @@ class BoundaryLine:
 
 
 def integer_slope(k: int, r: Rational | int = 0) -> BoundaryLine:
-    return BoundaryLine(SlopeKind.INTEGER, k, Fraction(r))
+    return BoundaryLine(SlopeKind.INTEGER, k, r)
 
 
 def inverse_slope(k: int, r: Rational | int = 0) -> BoundaryLine:
-    return BoundaryLine(SlopeKind.INVERSE, k, Fraction(r))
+    return BoundaryLine(SlopeKind.INVERSE, k, r)
 
 
 def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) -> bool:
@@ -103,10 +103,15 @@ def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) ->
 
 
 def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> int:
-    """Smallest integer y with (x, y) above the line: the line's linear form
-    A*y - B*x + C >= s solved for y, ceil((B*x - (C - s))/A)."""
+    """Smallest integer y with (x, y) above the line."""
+    return _min_ordinates(line, strictness)(x)
+
+
+def _min_ordinates(line: BoundaryLine, strictness: Strictness) -> Callable[[int], int]:
+    """``min_ordinate_above`` of one line and mode as a function of x: the linear
+    form A*y - B*x + C >= s, derived once, solved for y as ceil((B*x - (C - s))/A)."""
     a, b, c = line._form(strictness)
-    return -((c - b * x) // a)
+    return lambda x: -((c - b * x) // a)
 
 
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:

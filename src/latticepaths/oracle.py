@@ -6,9 +6,9 @@ imported only for its frozen query dataclasses, never for its arithmetic.
 
 Each family is a threshold map: paths take unit moves right and up through
 a grid of cells (i, j), and cell (i, j) is open when j >= lo(i).  For unit
-paths i and j are the offsets of x and y from the start and lo comes from
-``model.min_ordinate_above`` (exact ceiling arithmetic on the rational
-boundary value, no floating point).  The walk families put the counts of
+paths i and j are the offsets of x and y from the start and lo is
+``model.min_ordinate_above`` with the line's integer form taken once (exact
+ceiling arithmetic, no floating point).  The walk families put the counts of
 steps used of each kind on the two axes.  One kernel tabulates a map and
 one walker lists its paths, each as the word of its step letters.
 
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ResourceLimitError
 from .formulas import BohmQuery, KoroljukQuery
-from .model import LatticePath, PathQuery, StepSet, min_ordinate_above
+from .model import LatticePath, PathQuery, StepSet, _min_ordinates
 
 MAX_ENUMERATION_STEPS = 24
 MAX_DP_CELLS = 10**7
@@ -88,9 +88,9 @@ def _walk(
 
 
 def _unit_map(q: PathQuery) -> tuple[int, int, Callable[[int], int]]:
-    """Columns x = a..m, rows y = b..n."""
-    a, b, line, strictness = q.a, q.b, q.boundary, q.strictness
-    return q.m - a + 1, q.n - b + 1, lambda i: min_ordinate_above(line, a + i, strictness) - b
+    """Columns x = a..m, rows y = b..n; the line's form is derived once."""
+    a, b, floor = q.a, q.b, _min_ordinates(q.boundary, q.strictness)
+    return q.m - a + 1, q.n - b + 1, lambda i: floor(a + i) - b
 
 
 def dp_count(q: PathQuery) -> int:

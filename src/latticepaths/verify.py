@@ -3,9 +3,12 @@ programming for counts, exhaustive enumeration for listings), identity
 grids, and bijection suites.
 
 Every sweep returns a ``SweepSummary`` (checks run, failures, first
-counterexample) and is a plain loop over one parameter grid; the three
-entry points mirror the command line and merge the summaries of the sweeps
-they run:
+counterexample) and is a plain loop over one parameter grid.  Unit-path
+grids are boxes of columns (a, m) and rows (b, n), a <= m and b <= n; the
+sweeps that need boundary-valid queries keep the tuples whose b and n reach
+``min_ordinate_above`` at a and m, with the line's integer form taken once
+per line.  The three entry points mirror the command line and merge the
+summaries of the sweeps they run:
 
 * ``run_sweep``: ``formula_oracle_sweep`` (closed forms versus the
   dynamic-programming oracle), ``recurrence_shift_sweep`` (the first-step
@@ -23,7 +26,7 @@ they run:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -73,11 +76,10 @@ from .model import (
     PathQuery,
     SlopeKind,
     Strictness,
+    _min_ordinates,
     integer_slope,
     inverse_slope,
-    min_ordinate_above,
     normalize_intercept,
-    validate_query,
 )
 from .oracle import count_stepset, dp_count, enumerate_paths, enumerate_stepset
 
@@ -127,24 +129,32 @@ def _record(summary: SweepSummary, *reports: CheckReport) -> SweepSummary:
 # Closed forms versus the oracle, and the recurrence and shift identities
 
 _INTERCEPTS = range(-2, 5)
+_Pairs = Sequence[tuple[int, int]]
 
 
-def _grid(max_extent: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(r, a, b, m, n) over the acceptance grid: integer intercepts -2..4,
-    0 <= a <= m <= max_extent-2 and 0 <= b <= n <= max_extent."""
-    for r in _INTERCEPTS:
-        for m in range(max_extent - 1):
-            for a in range(m + 1):
-                for n in range(max_extent + 1):
-                    for b in range(n + 1):
-                        yield r, a, b, m, n
+def _box(max_extent: int) -> tuple[_Pairs, _Pairs]:
+    """The acceptance grid: columns (a, m), 0 <= a <= m <= max_extent-2, in
+    (m, a) order, and rows (b, n), 0 <= b <= n <= max_extent, in (n, b) order."""
+    columns = [(a, m) for m in range(max_extent - 1) for a in range(m + 1)]
+    rows = [(b, n) for n in range(max_extent + 1) for b in range(n + 1)]
+    return columns, rows
+
+
+def _above_floors(
+    line: BoundaryLine, strictness: Strictness, columns: _Pairs, rows: _Pairs
+) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, m, n) of each box tuple with b >= min_ordinate_above(a) and n >=
+    min_ordinate_above(m): the boundary-valid queries, as every pair has start <= end."""
+    floor = _min_ordinates(line, strictness)
+    for a, m in columns:
+        start_floor, end_floor = floor(a), floor(m)
+        for b, n in rows:
+            if b >= start_floor and n >= end_floor:
+                yield a, b, m, n
 
 
 def _describe_query(q: PathQuery) -> str:
-    return (
-        f"{q.strictness.value} ({q.a},{q.b})->({q.m},{q.n}) "
-        f"above {q.boundary.describe()}"
-    )
+    return f"{q.strictness.value} ({q.a},{q.b})->({q.m},{q.n}) above {q.boundary.describe()}"
 
 
 def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
@@ -152,34 +162,29 @@ def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
     slopes k and 1/k for k = 1..max_k, both strictness modes, every
     boundary-valid query."""
     summary = SweepSummary()
-    for k in range(1, max_k + 1):
-        modes = {
-            r: [(BoundaryLine(kind, k, r), strictness)
-                for kind in SlopeKind for strictness in Strictness]
-            for r in _INTERCEPTS
-        }
-        for r, a, b, m, n in _grid(max_extent):
-            for line, strictness in modes[r]:
-                q = PathQuery(a, b, m, n, line, strictness)
-                if not validate_query(q).ok:
-                    continue
-                expected = dp_count(q)
-                got = _evaluate(q)
-                summary.record(
-                    got == expected,
-                    lambda q=q, got=got, expected=expected: (
-                        f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
-                    ),
-                )
+    columns, rows = _box(max_extent)
+    for k, r, kind, strictness in product(range(1, max_k + 1), _INTERCEPTS, SlopeKind, Strictness):
+        line = BoundaryLine(kind, k, r)
+        for a, b, m, n in _above_floors(line, strictness, columns, rows):
+            q = PathQuery(a, b, m, n, line, strictness)
+            expected = dp_count(q)
+            got = _evaluate(q)
+            summary.record(
+                got == expected,
+                lambda q=q, got=got, expected=expected: (
+                    f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
+                ),
+            )
     return summary
 
 
 def recurrence_shift_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
     """The first-step recurrence and the strict-to-weak shift identity on
-    every grid tuple satisfying their condition blocks."""
+    every tuple of the acceptance grid satisfying their condition blocks."""
     summary = SweepSummary()
-    for k in range(1, max_k + 1):
-        for r, a, b, m, n in _grid(max_extent):
+    columns, rows = _box(max_extent)
+    for k, r in product(range(1, max_k + 1), _INTERCEPTS):
+        for (a, m), (b, n) in product(columns, rows):
             if m >= 1 and n >= k * m - r and max(k * (a + 1) - r, k) <= b <= n - 1:
                 _record(summary, recurrence_check(k, r, a, b, m, n))
             if b >= 1 and b + r - k * a > 0 and n > k * m - r:
@@ -201,11 +206,10 @@ NON_INTEGER_INTERCEPTS: tuple[Fraction, ...] = (
 def _intercept_cases(line: BoundaryLine) -> Iterator[PathQuery]:
     """A few queries with both endpoints strictly above the line, so both
     strictness modes are boundary-valid."""
+    floor = _min_ordinates(line, Strictness.STRICT)
     for m in (2, 3):
-        a = 0
-        b = max(0, min_ordinate_above(line, a, Strictness.STRICT))
-        n = max(b, min_ordinate_above(line, m, Strictness.STRICT)) + 2
-        yield PathQuery(a, b, m, n, line, Strictness.WEAK)
+        b = max(0, floor(0))
+        yield PathQuery(0, b, m, max(b, floor(m)) + 2, line, Strictness.WEAK)
 
 
 def intercept_normalization_sweep() -> SweepSummary:
@@ -221,12 +225,8 @@ def intercept_normalization_sweep() -> SweepSummary:
         for line in lines:
             snapped = normalize_intercept(line)
             for weak_q in _intercept_cases(line):
-                strict_q = PathQuery(
-                    weak_q.a, weak_q.b, weak_q.m, weak_q.n, line, Strictness.STRICT
-                )
-                snapped_q = PathQuery(
-                    weak_q.a, weak_q.b, weak_q.m, weak_q.n, snapped, Strictness.WEAK
-                )
+                strict_q = replace(weak_q, strictness=Strictness.STRICT)
+                snapped_q = replace(weak_q, boundary=snapped)
                 values = {
                     "weak oracle": dp_count(weak_q),
                     "strict oracle": dp_count(strict_q),
@@ -443,20 +443,14 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
     transforms and of the altitude-walk-to-unit map, on the instances of
     their grids with at most ``max_steps`` steps."""
 
-    def sources(
-        line: BoundaryLine, strictness: Strictness, a_range: range, b_range: range,
-        width: int, height: int,
-    ) -> Iterator[tuple[int, int, int, int, list[LatticePath]]]:
-        """(a, b, m, n, paths) of each boundary-valid query from (a, b) to
-        (m, n) within the step budget, 0 <= m - a < width, 0 <= n - b < height."""
-        for a in a_range:
-            start_floor = min_ordinate_above(line, a, strictness)
-            for m in range(a, a + width):
-                end_floor = min_ordinate_above(line, m, strictness)
-                for b in b_range:
-                    for n in range(b, b + height):
-                        if (m - a) + (n - b) <= max_steps and b >= start_floor and n >= end_floor:
-                            yield a, b, m, n, enumerate_paths(PathQuery(a, b, m, n, line, strictness))
+    def sources(line: BoundaryLine, strictness: Strictness, a_range: range, b_range: range,
+                width: int, height: int) -> Iterator[tuple]:
+        """(a, b, m, n, paths) of each boundary-valid query within the step budget."""
+        columns = [(a, m) for a in a_range for m in range(a, a + width)]
+        rows = [(b, n) for b in b_range for n in range(b, b + height)]
+        for a, b, m, n in _above_floors(line, strictness, columns, rows):
+            if (m - a) + (n - b) <= max_steps:
+                yield a, b, m, n, enumerate_paths(PathQuery(a, b, m, n, line, strictness))
 
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)

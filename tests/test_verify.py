@@ -1,13 +1,19 @@
 """Pinned check counts of the verification sweeps, and sweeps that must
 report a deliberately broken route."""
 
+from itertools import product
+
 import pytest
 
 import latticepaths.identities as identities_module
 import latticepaths.verify as verify_module
 from latticepaths import (
+    BoundaryLine,
     LatticePath,
+    PathQuery,
+    SlopeKind,
     StepSet,
+    Strictness,
     bohm_rotate,
     complement_sweep,
     cross_formula_sweep,
@@ -19,6 +25,7 @@ from latticepaths import (
     run_bijections,
     run_identities,
     upper_negation_sweep,
+    validate_query,
 )
 from latticepaths.cli import main
 
@@ -44,6 +51,21 @@ from latticepaths.cli import main
 def test_sweep_check_counts(sweep, args, checks):
     summary = sweep(*args)
     assert (summary.checks, summary.failures, summary.first_failure) == (checks, 0, None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_floor_filter_keeps_exactly_the_boundary_valid_queries(k):
+    # The sweeps pick their queries by the two endpoint floors; validate_query,
+    # through the rational boundary value in `above`, is the reference.
+    columns, rows = verify_module._box(8)
+    for r, kind, strictness in product(range(-2, 5), SlopeKind, Strictness):
+        line = BoundaryLine(kind, k, r)
+        kept = list(verify_module._above_floors(line, strictness, columns, rows))
+        valid = [
+            (a, b, m, n) for (a, m), (b, n) in product(columns, rows)
+            if validate_query(PathQuery(a, b, m, n, line, strictness)).ok
+        ]
+        assert kept == valid, (r, kind, strictness)
 
 
 def _assert_reports_failures(summary):
