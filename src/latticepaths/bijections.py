@@ -2,10 +2,11 @@
 
 Every transform takes explicit paths (``model.LatticePath``), validates that
 the input belongs to the declared source family, and returns the image path.
-Membership above a line is decided in integers by ``model.path_above``, one
-running sum of the line's linear form along the path's word; the walk checks
-are running sums of abscissa or altitude.  The bijection claims (image lands
-in the target family, injectivity, matching cardinalities, round trips) are
+Membership is decided in integers by ``model._first_exit``, one running sum
+of a linear form along the path's word: the line's form in ``path_above``,
+and in the walk checks the form of x <= c - 1 or of altitude >= 1, so a walk
+family is a line region too.  The bijection claims (image lands in the
+target family, injectivity, matching cardinalities, round trips) are
 enforced by the oracle-backed test sweeps rather than re-checked inside each call.
 
 The unit-path transforms relate strict and weak families above integer- and
@@ -39,6 +40,7 @@ from .model import (
     StepKind,
     StepSet,
     Strictness,
+    _first_exit,
     integer_slope,
     path_above,
 )
@@ -186,26 +188,18 @@ def _check_avoiding(path: LatticePath, c: int) -> int:
     require(path.step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
     require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
     require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
-    shift = {letter: dx for letter, (dx, _) in path.step_set.letters().items()}
-    x = 0  # the origin lies left of x = c
-    for letter in path.word:
-        x += shift[letter]
-        if x >= c:
-            raise ValidationError(f"walk touches or crosses x = {c} at abscissa {x}")
+    at = _first_exit(path, 0, 1, c - 1)  # x <= c - 1
+    if at is not None:
+        raise ValidationError(f"walk touches or crosses x = {c} at abscissa {path.points()[at][0]}")
     return path.step_set.param
 
 
 def _check_positive(path: LatticePath, name: str) -> int:
     """Validate an altitude walk of transform ``name`` and return its rise."""
     require(path.step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
-    shift = {letter: dy for letter, (_, dy) in path.step_set.letters().items()}
-    alt = path.start[1]
-    for letter in path.word:
-        if alt < 1:
-            break
-        alt += shift[letter]
-    if alt < 1:
-        raise ValidationError(f"walk drops to altitude {alt} < 1")
+    at = _first_exit(path, 1, 0, -1)  # altitude >= 1
+    if at is not None:
+        raise ValidationError(f"walk drops to altitude {path.points()[at][1]} < 1")
     return path.step_set.param
 
 

@@ -34,20 +34,14 @@ from .bijections import (
     unit_to_koroljuk,
 )
 from .errors import ResourceLimitError, ValidationError
-from .formulas import (
-    BohmQuery,
-    KoroljukQuery,
-    NiederhausenQuery,
-    bohm,
-    count,
-    koroljuk_literal,
-    koroljuk_reduced,
-    niederhausen,
-)
+from .formulas import bohm, count, koroljuk_literal, koroljuk_reduced, niederhausen
 from .identities import DEFAULT_SEED
 from .model import (
+    BohmQuery,
     BoundaryLine,
+    KoroljukQuery,
     LatticePath,
+    NiederhausenQuery,
     PathQuery,
     QueryCategory,
     SlopeKind,

@@ -40,10 +40,12 @@ def generalized_binomial(x: Rational | int, k: int) -> Rational:
     """Generalized binomial coefficient C(x, k) over the rationals, k >= 0."""
     if k < 0:
         raise ValidationError(f"generalized binomial lower index must be nonnegative, got {k}")
-    top = Fraction(1)
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    top = 1
     for t in range(k):
-        top *= Fraction(x) - t
-    return top / factorial(k)
+        top *= p - t * q  # q*(x - t)
+    return Fraction(top, q**k * factorial(k))
 
 
 def upper_negation(x: Rational | int, k: int) -> tuple[Rational, Rational]:

@@ -56,14 +56,15 @@ returns 0 when no paths exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .errors import ValidationError, require
+from .errors import require
 from .exactmath import Rational, as_integer, binomial
 from .model import (
+    BohmQuery,
     BoundaryLine,
+    KoroljukQuery,
+    NiederhausenQuery,
     PathQuery,
     SlopeKind,
     Strictness,
@@ -225,32 +226,12 @@ def fuss_catalan(k: int, m: int) -> int:
     return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
-@dataclass(frozen=True)
-class KoroljukQuery:
-    """Walks with m steps (1,1) and n steps (-p,1) from the origin, classified
-    against the vertical line x = c."""
-
-    p: int
-    c: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        for name in ("p", "c", "m", "n"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"KoroljukQuery needs {name} >= 1, got {getattr(self, name)}")
-
-
 def koroljuk_literal(q: KoroljukQuery) -> int:
-    """Count of the walks that meet x = c, as a sum over abscissae s ≡ c
-    (mod p+1) up to c + floor((m+n-c)/(p+1))*(p+1); empty when c > m+n."""
+    """Count of the walks that meet x = c, as a sum over the abscissae
+    s = c + j*(p+1) <= m+n, j = 0, 1, ...; empty when c > m+n."""
     p, c, m, n = q.p, q.c, q.m, q.n
     total = Fraction(0)
-    top = c + ((m + n - c) // (p + 1)) * (p + 1)
-    for s in range(c, top + 1):
-        if (s - c) % (p + 1):
-            continue
-        j = (s - c) // (p + 1)
+    for j, s in enumerate(range(c, m + n + 1, p + 1)):
         total += Fraction(c, s) * binomial(s, j) * binomial(m + n - s, n - j)
     return _finish(total)
 
@@ -259,31 +240,6 @@ def koroljuk_reduced(q: KoroljukQuery) -> int:
     """Same count as koroljuk_literal, reindexed over i = (s - c)/(p+1)."""
     p, c, m, n = q.p, q.c, q.m, q.n
     return _ballot_sum(p, c, n, m - c - p * n, p + 1, False)
-
-
-@dataclass(frozen=True)
-class NiederhausenQuery:
-    """Paths from (0,0) to (m,n) strictly above y = k*(x - d), with k*d integral."""
-
-    k: int
-    d: Rational
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", Fraction(self.d))
-        if self.k < 1:
-            raise ValidationError(f"NiederhausenQuery needs k >= 1, got {self.k}")
-        if self.n < 1:
-            raise ValidationError(f"NiederhausenQuery needs n >= 1, got {self.n}")
-        if self.m < 0:
-            raise ValidationError(f"NiederhausenQuery needs m >= 0, got {self.m}")
-        if (self.k * self.d).denominator != 1:
-            raise ValidationError(f"NiederhausenQuery needs k*d integral, got {self.k * self.d}")
-
-    @cached_property
-    def kd(self) -> int:
-        return int(self.k * self.d)
 
 
 def niederhausen(q: NiederhausenQuery) -> int:
@@ -302,33 +258,6 @@ def niederhausen(q: NiederhausenQuery) -> int:
     require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
     require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
     return _finish(binomial(m + n, m) - _ballot_sum(k, n - k * m + kd, m, -kd, k + 1, False))
-
-
-@dataclass(frozen=True)
-class BohmQuery:
-    """Walks with `ups` steps (1,rise) and the forced number of (1,-1) steps
-    from altitude start_alt to altitude end_alt, all altitudes kept >= 1."""
-
-    rise: int
-    start_alt: int
-    end_alt: int
-    ups: int
-
-    def __post_init__(self) -> None:
-        if self.rise < 1:
-            raise ValidationError(f"BohmQuery needs rise >= 1, got {self.rise}")
-        if self.start_alt < 1 or self.end_alt < 1:
-            raise ValidationError("BohmQuery needs both altitudes >= 1")
-        if self.ups < 0:
-            raise ValidationError(f"BohmQuery needs ups >= 0, got {self.ups}")
-        if self.down_steps < 0:
-            raise ValidationError(
-                f"altitude balance broken: start + rise*ups - end = {self.down_steps} < 0"
-            )
-
-    @property
-    def down_steps(self) -> int:
-        return self.start_alt + self.rise * self.ups - self.end_alt
 
 
 def bohm(q: BohmQuery) -> int:

@@ -26,14 +26,8 @@ from .exactmath import (
     generalized_binomial,
     upper_negation,
 )
-from .formulas import (
-    KoroljukQuery,
-    NiederhausenQuery,
-    count_strict,
-    count_weak,
-    koroljuk_reduced,
-    niederhausen,
-)
+from .formulas import count_strict, count_weak, koroljuk_reduced, niederhausen
+from .model import KoroljukQuery, NiederhausenQuery
 
 DEFAULT_SEED = 7
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw

@@ -8,14 +8,23 @@ Conventions used throughout the package:
 * A point satisfies a WEAK constraint when it lies on or above the line and
   a STRICT constraint when it lies strictly above.  Comparisons are done in
   cross-multiplied integer arithmetic; no floating point anywhere.  The
-  path tests (``path_above``, ``min_ordinate_above``) use one integer linear
-  form per line: (x, y) is above it when A*y - B*x + C >= s, with s = 0 for
-  WEAK and 1 for STRICT, so each step adds a constant to the form.  ``above``
-  keeps the rational boundary value as the reference they are tested against.
+  path tests use one integer linear form per line: (x, y) is above it when
+  A*y - B*x + C >= s, with s = 0 for WEAK and 1 for STRICT.  Two private
+  primitives serve every region bounded by such a form a*y - b*x + c >= 0:
+  ``_floors`` gives the least y at each x (``min_ordinate_above``), and
+  ``_first_exit`` runs the form along a path's word, each letter adding a
+  constant (``path_above``).  ``above`` keeps the rational boundary value as
+  the reference they are tested against.
 * A PathQuery asks for monotone unit paths (steps east (1,0) and north
   (0,1)) from (a, b) to (m, n) whose every visited point satisfies the
   constraint.  Start ordinates below zero are legal; they arise from
   vertically shifted queries.
+* The walk queries are line regions too, with the numbers of steps of each
+  kind on the axes.  KoroljukQuery: a walk of u steps (1,1) and d steps
+  (-p,1) from the origin avoids x = c exactly when it stays left of it,
+  u - p*d <= c - 1, weakly above d = (u - c + 1)/p.  BohmQuery: altitude
+  start + rise*u - d >= 1, weakly above u = (d - start + 1)/rise.
+  NiederhausenQuery: unit paths strictly above y = k*(x - d).
 * Step strings use one letter per step: H/V for unit paths, U/D for the
   two-letter families ((1,1)/(-p,1) diagonal-with-backjump walks and
   (1,rise)/(1,-1) altitude walks).  A LatticePath stores its steps as this
@@ -33,7 +42,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import ValidationError
 from .exactmath import Rational
@@ -107,11 +116,16 @@ def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> in
     return _min_ordinates(line, strictness)(x)
 
 
-def _min_ordinates(line: BoundaryLine, strictness: Strictness) -> Callable[[int], int]:
-    """``min_ordinate_above`` of one line and mode as a function of x: the linear
-    form A*y - B*x + C >= s, derived once, solved for y as ceil((B*x - (C - s))/A)."""
-    a, b, c = line._form(strictness)
+def _floors(a: int, b: int, c: int) -> Callable[[int], int]:
+    """The least y with a*y - b*x + c >= 0 as a function of x, a > 0: the
+    ceiling of (b*x - c)/a."""
     return lambda x: -((c - b * x) // a)
+
+
+def _min_ordinates(line: BoundaryLine, strictness: Strictness) -> Callable[[int], int]:
+    """``min_ordinate_above`` of one line and mode as a function of x, with
+    the line's form derived once."""
+    return _floors(*line._form(strictness))
 
 
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:
@@ -148,6 +162,74 @@ class PathQuery:
     n: int
     boundary: BoundaryLine
     strictness: Strictness
+
+
+@dataclass(frozen=True)
+class KoroljukQuery:
+    """Walks with m steps (1,1) and n steps (-p,1) from the origin, classified
+    against the vertical line x = c."""
+
+    p: int
+    c: int
+    m: int
+    n: int
+
+    def __post_init__(self) -> None:
+        for name in ("p", "c", "m", "n"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"KoroljukQuery needs {name} >= 1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class NiederhausenQuery:
+    """Paths from (0,0) to (m,n) strictly above y = k*(x - d), with k*d integral."""
+
+    k: int
+    d: Rational
+    m: int
+    n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", Fraction(self.d))
+        if self.k < 1:
+            raise ValidationError(f"NiederhausenQuery needs k >= 1, got {self.k}")
+        if self.n < 1:
+            raise ValidationError(f"NiederhausenQuery needs n >= 1, got {self.n}")
+        if self.m < 0:
+            raise ValidationError(f"NiederhausenQuery needs m >= 0, got {self.m}")
+        if (self.k * self.d).denominator != 1:
+            raise ValidationError(f"NiederhausenQuery needs k*d integral, got {self.k * self.d}")
+
+    @cached_property
+    def kd(self) -> int:
+        return int(self.k * self.d)
+
+
+@dataclass(frozen=True)
+class BohmQuery:
+    """Walks with `ups` steps (1,rise) and the forced number of (1,-1) steps
+    from altitude start_alt to altitude end_alt, all altitudes kept >= 1."""
+
+    rise: int
+    start_alt: int
+    end_alt: int
+    ups: int
+
+    def __post_init__(self) -> None:
+        if self.rise < 1:
+            raise ValidationError(f"BohmQuery needs rise >= 1, got {self.rise}")
+        if self.start_alt < 1 or self.end_alt < 1:
+            raise ValidationError("BohmQuery needs both altitudes >= 1")
+        if self.ups < 0:
+            raise ValidationError(f"BohmQuery needs ups >= 0, got {self.ups}")
+        if self.down_steps < 0:
+            raise ValidationError(
+                f"altitude balance broken: start + rise*ups - end = {self.down_steps} < 0"
+            )
+
+    @property
+    def down_steps(self) -> int:
+        return self.start_alt + self.rise * self.ups - self.end_alt
 
 
 def normalize_query(q: PathQuery) -> PathQuery:
@@ -329,17 +411,21 @@ class LatticePath:
         return cls(start, text, step_set)
 
 
-def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
-    """Whether every visited point lies above the line: one running sum of
-    the line's linear form, a constant increment per step letter."""
-    a, b, c = line._form(strictness)
+def _first_exit(path: LatticePath, a: int, b: int, c: int) -> int | None:
+    """Index in ``path.points()`` of the first point with a*y - b*x + c < 0,
+    or None: one running sum of the form, a constant increment per letter."""
     x, y = path.start
     level = a * y - b * x + c
     if level < 0:
-        return False
+        return 0
     rise = {letter: a * dy - b * dx for letter, (dx, dy) in path.step_set._vectors.items()}
-    for letter in path.word:
+    for index, letter in enumerate(path.word, 1):
         level += rise[letter]
         if level < 0:
-            return False
-    return True
+            return index
+    return None
+
+
+def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
+    """Whether every visited point lies above the line."""
+    return _first_exit(path, *line._form(strictness)) is None

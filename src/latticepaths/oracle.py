@@ -1,16 +1,18 @@
 """Independent ground truth: tabulated counts and exhaustive enumeration.
 
 Everything here works from the path definitions alone, so the results are
-trustworthy checks for the closed forms in ``formulas``.  That module is
-imported only for its frozen query dataclasses, never for its arithmetic.
+trustworthy checks for the closed forms in ``formulas``, which this module
+does not import.
 
 Each family is a threshold map: paths take unit moves right and up through
-a grid of cells (i, j), and cell (i, j) is open when j >= lo(i).  For unit
-paths i and j are the offsets of x and y from the start and lo is
-``model.min_ordinate_above`` with the line's integer form taken once (exact
-ceiling arithmetic, no floating point).  The walk families put the counts of
-steps used of each kind on the two axes.  One kernel tabulates a map and
-one walker lists its paths, each as the word of its step letters.
+a grid of cells (i, j), and cell (i, j) is open when j >= lo(i), the region
+weakly above a line.  For unit paths i and j are the offsets of x and y from
+the start, and the line is the query's boundary.  The walk families put the
+counts of steps used of each kind on the two axes, and the line is the one
+``model`` derives for them.  Every lo is ``model._floors`` of an integer
+linear form (exact ceiling arithmetic, no floating point).  One kernel
+tabulates a map and one walker lists its paths, each as the word of its
+step letters.
 
 Counts tabulate, for each cell, the paths that end there, so their cost is
 the number of cells, and tables of more than MAX_DP_CELLS cells are
@@ -25,8 +27,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ResourceLimitError
-from .formulas import BohmQuery, KoroljukQuery
-from .model import LatticePath, PathQuery, StepSet, _min_ordinates
+from .model import BohmQuery, KoroljukQuery, LatticePath, PathQuery, StepSet, _floors
 
 MAX_ENUMERATION_STEPS = 24
 MAX_DP_CELLS = 10**7
@@ -88,9 +89,9 @@ def _walk(
 
 
 def _unit_map(q: PathQuery) -> tuple[int, int, Callable[[int], int]]:
-    """Columns x = a..m, rows y = b..n; the line's form is derived once."""
-    a, b, floor = q.a, q.b, _min_ordinates(q.boundary, q.strictness)
-    return q.m - a + 1, q.n - b + 1, lambda i: floor(a + i) - b
+    """Columns x = a..m, rows y = b..n: the line's form, moved to the start."""
+    a, b, c = q.boundary._form(q.strictness)
+    return q.m - q.a + 1, q.n - q.b + 1, _floors(a, b, a * q.b - b * q.a + c)
 
 
 def dp_count(q: PathQuery) -> int:
@@ -119,13 +120,13 @@ class KoroljukSplit(NamedTuple):
 def _stepset_map(q: KoroljukQuery | BohmQuery, caller: str) -> tuple:
     """The threshold map of a walk family, with its step letters, start and step set."""
     if isinstance(q, KoroljukQuery):
-        # Up-steps on the columns.  The only rightward step is +1, so a walk
-        # from x = 0 < c avoids x = c exactly when it stays left of it.
-        lo = lambda u: -((q.c - 1 - u) // q.p)  # ceil((u - c + 1) / p)
+        # Up-steps u on the columns, back-steps d on the rows.  The only rightward
+        # step is +1, so avoiding x = c is staying left of it: p*d - u + c - 1 >= 0.
+        lo = _floors(q.p, 1, q.c - 1)
         return q.m + 1, q.n + 1, lo, "UD", (0, 0), StepSet.koroljuk(q.p)
     if isinstance(q, BohmQuery):
-        # Down-steps on the columns; the altitude start + rise*u - d stays >= 1.
-        lo = lambda d: -((q.start_alt - 1 - d) // q.rise)  # ceil((d + 1 - start) / rise)
+        # Down-steps d on the columns, up-steps u on the rows: rise*u - d + start - 1 >= 0.
+        lo = _floors(q.rise, 1, q.start_alt - 1)
         return q.down_steps + 1, q.ups + 1, lo, "DU", (0, q.start_alt), StepSet.bohm(q.rise)
     raise TypeError(f"{caller} takes a KoroljukQuery or BohmQuery, got {type(q).__name__}")
 

@@ -32,17 +32,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from .formulas import (
-    BohmQuery,
-    KoroljukQuery,
-    NiederhausenQuery,
-    _evaluate,
-    bohm,
-    count,
-    count_strict,
-    koroljuk_literal,
-    koroljuk_reduced,
-)
+from .formulas import _evaluate, bohm, count, count_strict, koroljuk_literal, koroljuk_reduced
 from .bijections import (
     bohm_rotate,
     bohm_to_unit,
@@ -71,8 +61,11 @@ from .identities import (
     upper_negation_check,
 )
 from .model import (
+    BohmQuery,
     BoundaryLine,
+    KoroljukQuery,
     LatticePath,
+    NiederhausenQuery,
     PathQuery,
     SlopeKind,
     Strictness,

@@ -217,6 +217,32 @@ def test_altitude_walk_maps_reject_a_walk_to_altitude_zero(transform):
         transform(walk)
 
 
+@given(st.text(alphabet="UD", max_size=10), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=5))
+def test_koroljuk_to_unit_accepts_exactly_the_walks_left_of_x_c(word, p, c):
+    walk = LatticePath.decode(word, StepSet.koroljuk(p), (0, 0))
+    crossing = [x for x, _ in walk.points() if x >= c]
+    if not crossing:
+        assert koroljuk_to_unit(walk, c).end == (word.count("D"), word.count("U"))
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        koroljuk_to_unit(walk, c)
+    assert str(excinfo.value) == f"walk touches or crosses x = {c} at abscissa {crossing[0]}"
+
+
+@given(st.text(alphabet="UD", max_size=10), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4))
+def test_bohm_to_unit_accepts_exactly_the_walks_of_positive_altitude(word, rise, start):
+    walk = LatticePath.decode(word, StepSet.bohm(rise), (0, start))
+    low = [alt for _, alt in walk.points() if alt < 1]
+    if not low:
+        assert bohm_to_unit(walk).end == (word.count("U"), word.count("D"))
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        bohm_to_unit(walk)
+    assert str(excinfo.value) == f"walk drops to altitude {low[0]} < 1"
+
+
 def test_bohm_to_unit_rejects_a_koroljuk_walk():
     walk = LatticePath.decode("UU", StepSet.koroljuk(1), (0, 0))
     with pytest.raises(ValidationError, match="bohm_to_unit expects an altitude walk"):

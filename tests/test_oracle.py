@@ -15,6 +15,7 @@ from latticepaths import (
     bohm,
     count_stepset,
     count_strict,
+    count_weak_inv,
     dp_count,
     enumerate_paths,
     enumerate_stepset,
@@ -24,6 +25,7 @@ from latticepaths import (
     normalize_intercept,
 )
 from latticepaths.oracle import MAX_DP_CELLS
+from latticepaths.verify import KOROLJUK_GRID, _bohm_grid
 
 
 WEAK = Strictness.WEAK
@@ -176,6 +178,22 @@ def test_count_stepset_matches_closed_forms_on_large_instances():
             for start, end in ((1, 1), (4, 9)):
                 q = BohmQuery(rise, start, end, ups)
                 assert count_stepset(q) == bohm(q), q
+
+
+def test_walk_censuses_are_unit_paths_weakly_above_an_inverse_slope_line():
+    # Koroljuk: u up-steps and d back-steps avoid x = c when d >= (u - c + 1)/p.
+    for p, c, m, n in KOROLJUK_GRID:
+        line = inverse_slope(p, Fraction(c - 1, p))
+        avoiding = count_stepset(KoroljukQuery(p, c, m, n)).avoiding
+        assert avoiding == dp_count(PathQuery(0, 0, m, n, line, WEAK)), (p, c, m, n)
+        if c + p * n - m >= 1:
+            assert avoiding == count_weak_inv(p, line.r, 0, 0, m, n), (p, c, m, n)
+    # Böhm: d down-steps and u up-steps keep altitude >= 1 when u >= (d - start + 1)/rise.
+    for q in _bohm_grid():
+        line = inverse_slope(q.rise, Fraction(q.start_alt - 1, q.rise))
+        census = count_stepset(q)
+        assert census == dp_count(PathQuery(0, 0, q.down_steps, q.ups, line, WEAK)), q
+        assert census == count_weak_inv(q.rise, line.r, 0, 0, q.down_steps, q.ups), q
 
 
 def test_dp_count_cell_budget():
