@@ -3,11 +3,13 @@
 Every transform takes explicit paths (``model.LatticePath``), validates that
 the input belongs to the declared source family, and returns the image path.
 Membership is decided in integers by ``model._first_exit``, one running sum
-of a linear form along the path's word: the line's form in ``path_above``,
-and in the walk checks the form of x <= c - 1 or of altitude >= 1, so a walk
-family is a line region too.  The bijection claims (image lands in the
-target family, injectivity, matching cardinalities, round trips) are
-enforced by the oracle-backed test sweeps rather than re-checked inside each call.
+of a linear form along the path's word: the line's form, as in
+``path_above`` (written out as (1, k, v - s) for an integer-slope target
+line, which is then never built), and in the walk checks the form of
+x <= c - 1 or of altitude >= 1, so a walk family is a line region too.  The
+bijection claims (image lands in the target family, injectivity, matching
+cardinalities, round trips) are enforced by the oracle-backed test sweeps
+rather than re-checked inside each call.
 
 The unit-path transforms relate strict and weak families above integer- and
 inverse-slope lines.  The four translations share one helper that runs their
@@ -41,8 +43,6 @@ from .model import (
     StepSet,
     Strictness,
     _first_exit,
-    integer_slope,
-    path_above,
 )
 
 # Letter tables of the relabellings: H = (1,0), V = (0,1) on unit paths;
@@ -70,9 +70,13 @@ def _recode(
 
 
 def _require_above(
-    path: LatticePath, line: BoundaryLine, strictness: Strictness, where: str = "the line"
+    path: LatticePath, form: tuple[int, int, int], strictness: Strictness, where: str = "the line"
 ) -> None:
-    if not path_above(path, line, strictness):
+    """Raise unless every point of the path satisfies a*y - b*x + c >= 0 for
+    the line's form (a, b, c) in mode ``strictness``.  For y = k*x - v with
+    integral v that form is (1, k, v - s), s = 1 strict and 0 weak, so the
+    maps pass it without building the line."""
+    if _first_exit(path, *form) is not None:
         raise ValidationError(f"input path is not {strictness.value}ly above {where}")
 
 
@@ -86,7 +90,7 @@ def _translate(
     require(line.kind is SlopeKind.INTEGER, f"{name} works above integer-slope lines")
     for condition, message in conditions:
         require(condition, message)
-    _require_above(path, line, strictness)
+    _require_above(path, line._form(strictness), strictness)
     (x, y), (dx, dy) = path.start, shift
     return LatticePath((x + dx, y + dy), path.word, path.step_set)
 
@@ -152,7 +156,7 @@ def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
     above y = k*x.  Inverse: ``reflect_inverse_back``.
     """
     kr = _integral_kr(path, line, "reflect_inverse works above inverse-slope lines")
-    _require_above(path, line, Strictness.WEAK)
+    _require_above(path, line._form(Strictness.WEAK), Strictness.WEAK)
     m, n = path.end
     return _recode(path, _SWAP, path.step_set, (0, line.k * n + kr - m))
 
@@ -174,7 +178,7 @@ def reflect_inverse_back(
         path.start == image_start,
         f"parameter mismatch: image paths start at {image_start}, got {path.start}",
     )
-    _require_above(path, integer_slope(line.k, 0), Strictness.WEAK, "y = k*x")
+    _require_above(path, (1, line.k, 0), Strictness.WEAK, "y = k*x")
     end_x, end_y = path.end
     source_start = (line.k * n + kr - end_y, n - end_x)
     return _recode(path, _SWAP, path.step_set, source_start)
@@ -237,7 +241,8 @@ def unit_to_koroljuk(
         f"parameter mismatch: c + p*n - m = {v}, got intercept {intercept}",
     )
     require(v >= 1, f"need c + p*n - m >= 1, got {v}")
-    _require_above(path, integer_slope(p, v), Strictness.STRICT, f"y = {p}*x - {v}")
+    _require_above(path, (1, p, v - 1), Strictness.STRICT,
+                   f"y = {p}*x - {v}")
     return _recode(path, _UNIT_TO_KOROLJUK, StepSet.koroljuk(p), (0, 0))
 
 
@@ -287,7 +292,7 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
     require(rise >= 1, f"need rise >= 1, got {rise}")
     require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
     require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
-    _require_above(path, integer_slope(rise, end_alt), Strictness.STRICT,
+    _require_above(path, (1, rise, end_alt - 1), Strictness.STRICT,
                    f"y = {rise}*x - {end_alt}")
     ups, downs = path.end
     start = (0, end_alt - rise * ups + downs)

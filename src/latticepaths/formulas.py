@@ -45,8 +45,9 @@ ArithmeticError on a remainder; a negative total raises too, so a
 transcription slip cannot produce a silently wrong count.
 
 The remaining evaluators are specializations and relatives: generalized
-ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (kept on
-Fractions as a second route for the cross-checks), and a totalizing
+ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (a second
+route for the cross-checks, with its own sum over the abscissae and one
+exact division per term, not the kernel's term ratio), and a totalizing
 ``count`` wrapper for parameter sweeps.
 
 Preconditions are enforced exactly as documented on each function; the
@@ -228,11 +229,12 @@ def fuss_catalan(k: int, m: int) -> int:
 
 def koroljuk_literal(q: KoroljukQuery) -> int:
     """Count of the walks that meet x = c, as a sum over the abscissae
-    s = c + j*(p+1) <= m+n, j = 0, 1, ...; empty when c > m+n."""
+    s = c + j*(p+1) <= m+n, j = 0, 1, ...; empty when c > m+n.  Each
+    c/s * C(s, j) is an integer (a Raney number), taken by one exact division."""
     p, c, m, n = q.p, q.c, q.m, q.n
-    total = Fraction(0)
+    total = 0
     for j, s in enumerate(range(c, m + n + 1, p + 1)):
-        total += Fraction(c, s) * binomial(s, j) * binomial(m + n - s, n - j)
+        total += _exact(binomial(s, j), c, s) * binomial(m + n - s, n - j)
     return _finish(total)
 
 

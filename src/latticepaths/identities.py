@@ -21,12 +21,11 @@ from typing import Mapping
 from .errors import ValidationError, require
 from .exactmath import (
     Rational,
-    as_integer,
     binomial,
     generalized_binomial,
     upper_negation,
 )
-from .formulas import count_strict, count_weak, koroljuk_reduced, niederhausen
+from .formulas import _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery
 
 DEFAULT_SEED = 7
@@ -215,18 +214,17 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     recomputes the correction sum with the leading factor folded into the
     larger binomial, (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i)
     * C((k+1)i-kd, i); the direct value is count_strict(k, kd, 0, 0, m, n).
+    With e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the
+    first two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
+    integer taken by one exact division, so the sum runs in integers.
     """
     subtracted = niederhausen(q)
     k, m, n, kd = q.k, q.m, q.n, q.kd
-    total = Fraction(binomial(m + n, m))
+    e = n + kd - k * m
+    collected = binomial(m + n, m)
     for i in range((kd - 1) // (k + 1) + 1, m + 1):
         upper = m + n + kd - (k + 1) * i
-        total -= (
-            Fraction(n + kd - k * m, upper)
-            * binomial(upper, m - i)
-            * binomial((k + 1) * i - kd, i)
-        )
-    collected = as_integer(total)
+        collected -= _exact(binomial(upper, m - i), e, upper) * binomial((k + 1) * i - kd, i)
     direct = count_strict(k, kd, 0, 0, m, n)
     return CheckReport(
         "strict-count-forms",

@@ -197,12 +197,12 @@ class NiederhausenQuery:
             raise ValidationError(f"NiederhausenQuery needs n >= 1, got {self.n}")
         if self.m < 0:
             raise ValidationError(f"NiederhausenQuery needs m >= 0, got {self.m}")
-        if (self.k * self.d).denominator != 1:
+        if self.k * self.d.numerator % self.d.denominator:
             raise ValidationError(f"NiederhausenQuery needs k*d integral, got {self.k * self.d}")
 
     @cached_property
     def kd(self) -> int:
-        return int(self.k * self.d)
+        return self.k * self.d.numerator // self.d.denominator
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ step letters.
 
 Counts tabulate, for each cell, the paths that end there, so their cost is
 the number of cells, and tables of more than MAX_DP_CELLS cells are
-refused.  Listings visit the members one by one and refuse more than
+refused.  The kernel, ``_columns``, yields its running column after each
+column, so one tabulation holds the count to every end point of the map
+from one start: ``dp_count`` and ``count_stepset`` keep only the far corner
+(O(height) memory), and the private readers ``_dp_table`` and
+``_census_table`` copy every column out for the verification sweeps, which
+check many end points against one line and start.
+
+Listings visit the members one by one and refuse more than
 MAX_ENUMERATION_STEPS steps (a listing stays under roughly 17 million
 sequences).
 """
@@ -24,7 +31,7 @@ sequences).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
 from .model import BohmQuery, KoroljukQuery, LatticePath, PathQuery, StepSet, _floors
@@ -33,10 +40,12 @@ MAX_ENUMERATION_STEPS = 24
 MAX_DP_CELLS = 10**7
 
 
-def _tabulate(width: int, height: int, lo: Callable[[int], int]) -> int:
-    """Paths from cell (0, 0) to cell (width-1, height-1) through open cells."""
+def _columns(width: int, height: int, lo: Callable[[int], int]) -> Iterator[list[int]]:
+    """The running column after each column i of the threshold map: entry j
+    counts the paths from cell (0, 0) to cell (i, j) through open cells.  One
+    list is updated in place and yielded each time; readers copy what they keep."""
     if width < 1 or height < 1:
-        return 0
+        return
     cells = width * height
     if cells > MAX_DP_CELLS:
         raise ResourceLimitError(f"a table of {cells} cells exceeds the {MAX_DP_CELLS}-cell budget")
@@ -47,6 +56,14 @@ def _tabulate(width: int, height: int, lo: Callable[[int], int]) -> int:
         for j in range(height):
             acc = acc + col[j] if j >= t else 0
             col[j] = acc
+        yield col
+
+
+def _tabulate(width: int, height: int, lo: Callable[[int], int]) -> int:
+    """Paths from cell (0, 0) to cell (width-1, height-1) through open cells."""
+    col = [0]  # an empty map has no paths
+    for col in _columns(width, height, lo):
+        pass
     return col[-1]
 
 
@@ -104,6 +121,12 @@ def dp_count(q: PathQuery) -> int:
     return _tabulate(*_unit_map(q))
 
 
+def _dp_table(q: PathQuery) -> list[list[int]]:
+    """All the counts of one tabulation: table[i][j] is dp_count from (a, b)
+    to (a+i, b+j) under q's line and mode, for 0 <= i <= m-a and 0 <= j <= n-b."""
+    return [col[:] for col in _columns(*_unit_map(q))]
+
+
 def enumerate_paths(q: PathQuery) -> list[LatticePath]:
     """All valid paths of q as unit-step LatticePath values, in lexicographic
     order of their H/V step strings.  len(result) == dp_count(q)."""
@@ -149,6 +172,15 @@ def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
     if isinstance(q, KoroljukQuery):
         return KoroljukSplit(kept, math.comb(q.m + q.n, q.n) - kept)
     return kept
+
+
+def _census_table(q: KoroljukQuery | BohmQuery) -> list[list[int]]:
+    """All the counts of one census, with q's step counts as the far corner.
+    Koroljuk: table[u][d] is the walks of u up-steps and d back-steps that
+    avoid x = c.  Böhm: table[d][u] is the count_stepset of d down-steps and
+    u up-steps from the start altitude."""
+    width, height, lo, *_ = _stepset_map(q, "_census_table")
+    return [col[:] for col in _columns(width, height, lo)]
 
 
 def enumerate_stepset(q: KoroljukQuery | BohmQuery) -> list[LatticePath]:

@@ -7,7 +7,12 @@ counterexample) and is a plain loop over one parameter grid.  Unit-path
 grids are boxes of columns (a, m) and rows (b, n), a <= m and b <= n; the
 sweeps that need boundary-valid queries keep the tuples whose b and n reach
 ``min_ordinate_above`` at a and m, with the line's integer form taken once
-per line.  The three entry points mirror the command line and merge the
+per line.  Sweeps that check many end points of one line, mode and start
+(``formula_oracle_sweep``, ``cross_formula_sweep``, the census of
+``complement_sweep``) read their oracle values from one tabulation of that
+line and start (``oracle._dp_table`` or ``oracle._census_table``), built
+when its first query needs it and dropped when its group of queries is
+done.  The three entry points mirror the command line and merge the
 summaries of the sweeps they run:
 
 * ``run_sweep``: ``formula_oracle_sweep`` (closed forms versus the
@@ -25,11 +30,13 @@ summaries of the sweeps they run:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import groupby, product
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .formulas import _evaluate, bohm, count, count_strict, koroljuk_literal, koroljuk_reduced
@@ -74,7 +81,14 @@ from .model import (
     inverse_slope,
     normalize_intercept,
 )
-from .oracle import count_stepset, dp_count, enumerate_paths, enumerate_stepset
+from .oracle import (
+    _census_table,
+    _dp_table,
+    count_stepset,
+    dp_count,
+    enumerate_paths,
+    enumerate_stepset,
+)
 
 
 @dataclass
@@ -151,16 +165,21 @@ def _describe_query(q: PathQuery) -> str:
 
 
 def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
-    """The four closed-form evaluators against dp_count over the dense grid:
+    """The four closed-form evaluators against the oracle over the dense grid:
     slopes k and 1/k for k = 1..max_k, both strictness modes, every
-    boundary-valid query."""
+    boundary-valid query.  The oracle counts of one line and mode come from
+    one table per start, reaching the box's far corner (max_extent-2,
+    max_extent)."""
     summary = SweepSummary()
     columns, rows = _box(max_extent)
     for k, r, kind, strictness in product(range(1, max_k + 1), _INTERCEPTS, SlopeKind, Strictness):
         line = BoundaryLine(kind, k, r)
+        table = cache(lambda a, b: _dp_table(
+            PathQuery(a, b, max_extent - 2, max_extent, line, strictness)
+        ))
         for a, b, m, n in _above_floors(line, strictness, columns, rows):
             q = PathQuery(a, b, m, n, line, strictness)
-            expected = dp_count(q)
+            expected = table(a, b)[m - a][n - b]
             got = _evaluate(q)
             summary.record(
                 got == expected,
@@ -283,19 +302,24 @@ def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
     components independently confirmed by the step-by-step census on
     instances of at most ``max_census_steps`` steps."""
     summary = SweepSummary()
-    for p, c, m, n in KOROLJUK_GRID:
-        report = complement_check(p, c, m, n)
-        summary.record(report.ok, report.line)
-        if m + n <= max_census_steps:
-            split = count_stepset(KoroljukQuery(p, c, m, n))
-            summary.record(
-                split.avoiding == report.values["avoiding"]
-                and split.intersecting == report.values["intersecting"],
-                lambda report=report, split=split: (
-                    f"census disagrees with {report.line()}: "
-                    f"avoiding {split.avoiding}, intersecting {split.intersecting}"
-                ),
-            )
+    for (p, c), group in groupby(KOROLJUK_GRID, itemgetter(0, 1)):
+        group = list(group)
+        corner = KoroljukQuery(p, c, max(m for _, _, m, _ in group), max(n for *_, n in group))
+        census = cache(lambda: _census_table(corner))
+        for _, _, m, n in group:
+            report = complement_check(p, c, m, n)
+            summary.record(report.ok, report.line)
+            if m + n <= max_census_steps:
+                avoiding = census()[m][n]
+                intersecting = math.comb(m + n, n) - avoiding
+                summary.record(
+                    avoiding == report.values["avoiding"]
+                    and intersecting == report.values["intersecting"],
+                    lambda report=report, avoiding=avoiding, intersecting=intersecting: (
+                        f"census disagrees with {report.line()}: "
+                        f"avoiding {avoiding}, intersecting {intersecting}"
+                    ),
+                )
     return summary
 
 
@@ -334,43 +358,52 @@ def _bohm_grid() -> Iterator[BohmQuery]:
 
 def cross_formula_sweep() -> SweepSummary:
     """The two specialized counts against the strict evaluator and the
-    step-by-step census."""
+    step-by-step census.  For each k, the oracle values come from one
+    unit-path table per k*d and one walk census per c; for the altitude
+    walks, from one census per (rise, start)."""
     summary = SweepSummary()
-    for q in _niederhausen_grid():
-        report = niederhausen_forms_check(q)
-        summary.record(report.ok, report.line)
-        value = report.values["subtracted"]
-        unit_q = PathQuery(
-            0, 0, q.m, q.n, integer_slope(q.k, q.kd), Strictness.STRICT
-        )
-        summary.record(
-            dp_count(unit_q) == value,
-            lambda q=q, value=value: (
-                f"oracle disagrees with strict count k={q.k} d={q.d} m={q.m} n={q.n} = {value}"
-            ),
-        )
-        c = q.n - q.k * q.m + q.kd
-        if q.m >= 1:
-            split = count_stepset(KoroljukQuery(q.k, c, q.n, q.m))
+    for k, group in groupby(_niederhausen_grid(), attrgetter("k")):
+        group = list(group)
+        top_m, top_n = max(q.m for q in group), max(q.n for q in group)
+        unit_table = cache(lambda kd: _dp_table(
+            PathQuery(0, 0, top_m, top_n, integer_slope(k, kd), Strictness.STRICT)
+        ))
+        walk_table = cache(lambda c: _census_table(KoroljukQuery(k, c, top_n, top_m)))
+        for q in group:
+            report = niederhausen_forms_check(q)
+            summary.record(report.ok, report.line)
+            value = report.values["subtracted"]
             summary.record(
-                split.avoiding == value,
-                lambda q=q, value=value, split=split: (
-                    f"walk census disagrees with strict count k={q.k} d={q.d} "
-                    f"m={q.m} n={q.n}: {split.avoiding} vs {value}"
+                unit_table(q.kd)[q.m][q.n] == value,
+                lambda q=q, value=value: (
+                    f"oracle disagrees with strict count k={q.k} d={q.d} m={q.m} n={q.n} = {value}"
                 ),
             )
-    for q in _bohm_grid():
-        value = bohm(q)
-        direct = count_strict(q.rise, q.end_alt, 0, 0, q.ups, q.down_steps)
-        census = count_stepset(q)
-        summary.record(
-            value == direct == census,
-            lambda q=q, value=value, direct=direct, census=census: (
-                f"altitude-walk forms rise={q.rise} start={q.start_alt} "
-                f"end={q.end_alt} ups={q.ups}: sum {value}, "
-                f"strict count {direct}, census {census}"
-            ),
-        )
+            c = q.n - q.k * q.m + q.kd
+            if q.m >= 1:
+                avoiding = walk_table(c)[q.n][q.m]
+                summary.record(
+                    avoiding == value,
+                    lambda q=q, value=value, avoiding=avoiding: (
+                        f"walk census disagrees with strict count k={q.k} d={q.d} "
+                        f"m={q.m} n={q.n}: {avoiding} vs {value}"
+                    ),
+                )
+    for (rise, start_alt), group in groupby(_bohm_grid(), attrgetter("rise", "start_alt")):
+        group = list(group)
+        table = _census_table(BohmQuery(rise, start_alt, 1, max(q.ups for q in group)))
+        for q in group:
+            value = bohm(q)
+            direct = count_strict(q.rise, q.end_alt, 0, 0, q.ups, q.down_steps)
+            census = table[q.down_steps][q.ups]
+            summary.record(
+                value == direct == census,
+                lambda q=q, value=value, direct=direct, census=census: (
+                    f"altitude-walk forms rise={q.rise} start={q.start_alt} "
+                    f"end={q.end_alt} ups={q.ups}: sum {value}, "
+                    f"strict count {direct}, census {census}"
+                ),
+            )
     return summary
 
 

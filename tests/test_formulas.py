@@ -38,6 +38,7 @@ from latticepaths import (
     validate_query,
 )
 from latticepaths.formulas import _ballot_sum, _exact, _finish
+from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -159,10 +160,11 @@ def test_niederhausen_examples():
 
 
 def test_niederhausen_query_requires_integral_kd():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^NiederhausenQuery needs k\*d integral, got 2/3$"):
         NiederhausenQuery(2, Fraction(1, 3), 1, 2)
     q = NiederhausenQuery(2, Fraction(1, 2), 1, 3)
     assert q.kd == 1
+    assert NiederhausenQuery(3, Fraction(-5, 3), 1, 3).kd == -5
 
 
 def test_niederhausen_query_identity_ignores_cached_kd():
@@ -275,6 +277,33 @@ def test_count_matches_oracle_on_extended_domain(kind, k, r, strictness, a, rise
     q = PathQuery(a, b, m, n, line, strictness)
     assert validate_query(q).ok
     assert count(q) == dp_count(q)
+
+
+def _koroljuk_literal_reference(q):
+    """The literal sum on Fractions: c/s * C(s, j) * C(m+n-s, n-j) over s = c + j*(p+1)."""
+    total = Fraction(0)
+    for j, s in enumerate(range(q.c, q.m + q.n + 1, q.p + 1)):
+        total += Fraction(q.c, s) * binomial(s, j) * binomial(q.m + q.n - s, q.n - j)
+    return total
+
+
+def _collected_reference(q):
+    """The collected form of the strict count on Fractions, term by term as printed."""
+    k, m, n, kd = q.k, q.m, q.n, q.kd
+    total = Fraction(binomial(m + n, m))
+    for i in range((kd - 1) // (k + 1) + 1, m + 1):
+        upper = m + n + kd - (k + 1) * i
+        total -= (
+            Fraction(n + kd - k * m, upper) * binomial(upper, m - i) * binomial((k + 1) * i - kd, i)
+        )
+    return total
+
+
+def test_integer_sums_equal_their_fraction_references():
+    for q in [KoroljukQuery(*t) for t in KOROLJUK_GRID] + [KoroljukQuery(2, 5, 60, 70)]:
+        assert koroljuk_literal(q) == _koroljuk_literal_reference(q), q
+    for q in [*_niederhausen_grid(), NiederhausenQuery(2, 125, 60, 70)]:
+        assert niederhausen_forms_check(q).values["collected"] == _collected_reference(q), q
 
 
 @pytest.mark.parametrize("p, c", [(1, 3), (2, 5)])

@@ -2,14 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import groupby, product
 
 import pytest
 
 from latticepaths import (
     BohmQuery,
+    BoundaryLine,
     KoroljukQuery,
     PathQuery,
     ResourceLimitError,
+    SlopeKind,
     Strictness,
     binomial,
     bohm,
@@ -24,7 +27,7 @@ from latticepaths import (
     koroljuk_reduced,
     normalize_intercept,
 )
-from latticepaths.oracle import MAX_DP_CELLS
+from latticepaths.oracle import MAX_DP_CELLS, _census_table, _dp_table
 from latticepaths.verify import KOROLJUK_GRID, _bohm_grid
 
 
@@ -194,6 +197,31 @@ def test_walk_censuses_are_unit_paths_weakly_above_an_inverse_slope_line():
         census = count_stepset(q)
         assert census == dp_count(PathQuery(0, 0, q.down_steps, q.ups, line, WEAK)), q
         assert census == count_weak_inv(q.rise, line.r, 0, 0, q.down_steps, q.ups), q
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_cell_of_a_dp_table_is_the_dp_count_of_its_end_point(k):
+    intercepts = sorted({Fraction(num, den) for den in range(1, 6) for num in (-3, 1, 2 * den + 1)})
+    starts = [(0, 0), (1, -2), (-1, 1), (2, 3)]
+    for kind, strictness, r, (a, b) in product(SlopeKind, Strictness, intercepts, starts):
+        line = BoundaryLine(kind, k, r)
+        table = _dp_table(PathQuery(a, b, a + 4, b + 6, line, strictness))
+        assert [len(col) for col in table] == [7] * 5
+        for i, j in product(range(5), range(7)):
+            q = PathQuery(a, b, a + i, b + j, line, strictness)
+            assert table[i][j] == dp_count(q), q
+
+
+def test_every_cell_of_a_census_table_is_the_count_stepset_of_its_corner():
+    for (p, c), group in groupby(KOROLJUK_GRID, lambda t: t[:2]):
+        group = list(group)
+        table = _census_table(KoroljukQuery(p, c, max(t[2] for t in group), 4))
+        for _, _, m, n in group:
+            assert table[m][n] == count_stepset(KoroljukQuery(p, c, m, n)).avoiding, (p, c, m, n)
+    for q in _bohm_grid():
+        # The far corner: five up-steps down to altitude 1, the most down-steps of the grid.
+        table = _census_table(BohmQuery(q.rise, q.start_alt, 1, 5))
+        assert table[q.down_steps][q.ups] == count_stepset(q), q
 
 
 def test_dp_count_cell_budget():

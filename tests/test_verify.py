@@ -74,12 +74,38 @@ def _assert_reports_failures(summary):
     assert summary.first_failure
 
 
+def _off_by_one(monkeypatch, name):
+    """Replace the oracle table reader ``name`` in verify by one whose every
+    cell is one too large."""
+    table = getattr(verify_module, name)
+    monkeypatch.setattr(
+        verify_module, name, lambda q: [[value + 1 for value in col] for col in table(q)]
+    )
+
+
 def test_formula_oracle_sweep_reports_a_wrong_oracle(monkeypatch):
-    dp_count = verify_module.dp_count
-    monkeypatch.setattr(verify_module, "dp_count", lambda q: dp_count(q) + 1)
+    _off_by_one(monkeypatch, "_dp_table")
     summary = formula_oracle_sweep(1, 3)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("formula-vs-oracle")
+
+
+@pytest.mark.parametrize("name, label", [
+    ("_dp_table", "oracle disagrees with strict count k=1 "),
+    ("_census_table", "walk census disagrees with strict count k=1 "),
+])
+def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, name, label):
+    _off_by_one(monkeypatch, name)
+    summary = cross_formula_sweep()
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith(label)
+
+
+def test_complement_sweep_reports_a_wrong_census(monkeypatch):
+    _off_by_one(monkeypatch, "_census_table")
+    summary = complement_sweep(5)
+    _assert_reports_failures(summary)
+    assert summary.first_failure.startswith("census disagrees with pass complement: p=1 c=1 m=1 n=1")
 
 
 def test_recurrence_shift_sweep_reports_a_wrong_weak_count(monkeypatch):
