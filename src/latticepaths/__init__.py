@@ -10,21 +10,9 @@ checks in :mod:`.identities`; and grid verification sweeps in
 :mod:`.verify`.  The command line entry point is ``latticepaths``.
 """
 
-from .bijections import (
-    bohm_rotate,
-    bohm_to_unit,
-    bohm_unrotate,
-    drop_one,
-    koroljuk_to_unit,
-    lemma_translate,
-    lemma_translate_back,
-    raise_one,
-    reflect_inverse,
-    reflect_inverse_back,
-    unit_to_bohm,
-    unit_to_koroljuk,
-)
-from .errors import ResourceLimitError, ValidationError
+import importlib
+
+from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .exactmath import Rational, as_integer, binomial, generalized_binomial, upper_negation
 from .formulas import (
     ballot,
@@ -39,18 +27,6 @@ from .formulas import (
     koroljuk_literal,
     koroljuk_reduced,
     niederhausen,
-)
-from .identities import (
-    DEFAULT_SEED,
-    CheckReport,
-    HagenRotheParams,
-    complement_check,
-    hagen_rothe,
-    hagen_rothe_check,
-    niederhausen_forms_check,
-    recurrence_check,
-    shift_check,
-    upper_negation_check,
 )
 from .model import (
     BohmQuery,
@@ -83,20 +59,37 @@ from .oracle import (
     enumerate_paths,
     enumerate_stepset,
 )
-from .verify import (
-    SweepSummary,
-    complement_sweep,
-    cross_formula_sweep,
-    formula_oracle_sweep,
-    hagen_rothe_sweep,
-    intercept_normalization_sweep,
-    koroljuk_equality_sweep,
-    recurrence_shift_sweep,
-    run_bijections,
-    run_identities,
-    run_sweep,
-    upper_negation_sweep,
-)
+
+# Loaded on first use (PEP 562), so that ``count`` and the command line do
+# not pay for the correspondences, the identity checks and the sweeps.
+_LAZY = {
+    name: module
+    for module, names in {
+        "bijections": """bohm_rotate bohm_to_unit bohm_unrotate drop_one koroljuk_to_unit
+            lemma_translate lemma_translate_back raise_one reflect_inverse
+            reflect_inverse_back unit_to_bohm unit_to_koroljuk""",
+        "identities": """CheckReport HagenRotheParams complement_check hagen_rothe
+            hagen_rothe_check niederhausen_forms_check recurrence_check shift_check
+            upper_negation_check""",
+        "verify": """SweepSummary complement_sweep cross_formula_sweep formula_oracle_sweep
+            hagen_rothe_sweep intercept_normalization_sweep koroljuk_equality_sweep
+            recurrence_shift_sweep run_bijections run_identities run_sweep
+            upper_negation_sweep""",
+    }.items()
+    for name in (module, *names.split())
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted((globals().keys() - {"importlib", "_LAZY", "__getattr__", "__dir__"}) | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

@@ -25,17 +25,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .bijections import (
-    bohm_rotate,
-    drop_one,
-    koroljuk_to_unit,
-    lemma_translate,
-    reflect_inverse,
-    unit_to_koroljuk,
-)
-from .errors import ResourceLimitError, ValidationError
+from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .formulas import bohm, count, koroljuk_literal, koroljuk_reduced, niederhausen
-from .identities import DEFAULT_SEED
 from .model import (
     BohmQuery,
     BoundaryLine,
@@ -50,7 +41,9 @@ from .model import (
     validate_query,
 )
 from .oracle import dp_count, enumerate_paths
-from .verify import run_bijections, run_identities, run_sweep
+
+# The correspondences and the sweeps are imported by the subcommands that
+# use them, so that a count process does not load them.
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -218,6 +211,15 @@ def _require_flags(args: argparse.Namespace, names: Sequence[str]) -> None:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .bijections import (
+        bohm_rotate,
+        drop_one,
+        koroljuk_to_unit,
+        lemma_translate,
+        reflect_inverse,
+        unit_to_koroljuk,
+    )
+
     if args.map in ("drop-one", "lemma-translate", "reflect-inverse"):
         _require_flags(args, ["--slope"])
         kind, k = args.slope
@@ -246,6 +248,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_bijections, run_identities, run_sweep
+
     if args.verify_command == "sweep":
         summary = run_sweep(args.max_k, args.max_extent)
         parameters = {"max_k": args.max_k, "max_extent": args.max_extent}

@@ -6,7 +6,13 @@ answer would require more enumeration work than the hard built-in budget
 allows (ResourceLimitError).  Internal arithmetic that breaks an invariant
 (for instance an alternating sum that fails to collapse to an integer)
 raises ArithmeticError directly; that always indicates a bug, not bad input.
+
+``DEFAULT_SEED``, the seed of the randomized identity checks, lives here too,
+in the one module that every other imports: the command line shows it in
+its help without loading ``identities``, which re-exports it.
 """
+
+DEFAULT_SEED = 7
 
 
 class ValidationError(ValueError):
@@ -17,7 +23,8 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed a hard work budget (enumeration steps or DP cells)."""
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise ValidationError(message) unless ``condition`` holds."""
+def require(condition: bool, message: str, *args: object) -> None:
+    """Raise ValidationError(message) unless ``condition`` holds.  With
+    ``args``, the message is ``message.format(*args)``, built only on failure."""
     if not condition:
-        raise ValidationError(message)
+        raise ValidationError(message.format(*args) if args else message)

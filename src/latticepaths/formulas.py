@@ -44,6 +44,19 @@ k + |dx| + 2 small factors, in one exact multiply-then-divide that raises
 ArithmeticError on a remainder; a negative total raises too, so a
 transcription slip cannot produce a silently wrong count.
 
+``count_weak`` and ``count_strict`` share one chooser, ``_unit_count``.  It
+moves the query to the origin in strict form: paths from (0, 0) to (M, N)
+strictly above y = k*x - d, with M = m - a, N = n - b and d = b + r - k*a
+(plus 1 for weak).  Two kernel sums give that count.  The alternating sum
+(the ``count_strict`` row at a = b = 0) has min(M, (d-1)//(k+1)) + 1 nonzero
+terms.  The first-passage sum (the ``niederhausen`` row with k*d = d),
+subtracted from C(M+N, M), has max(0, M - ceil(d/k) + 1).  The chooser
+counts both in O(1) and runs the first-passage sum only when it is strictly
+shorter and d >= (k-1)*M, Niederhausen's stated domain; it does not guess
+beyond it.  A line that only clips the rectangle thus costs one binomial.
+``bohm``, ``koroljuk_reduced``, ``niederhausen`` and the inverse-slope
+evaluators keep their own sums, so the sweeps still compare distinct routes.
+
 The remaining evaluators are specializations and relatives: generalized
 ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (a second
 route for the cross-checks, with its own sum over the abscissae and one
@@ -131,6 +144,19 @@ def _ballot_sum(k: int, e: int, total: int, x0: int, dx: int, alternate: bool) -
         j, t, x, y = j - 1, t - k - 1, x + dx, y + 1
 
 
+def _unit_count(k: int, d: int, m: int, n: int) -> int:
+    """Paths from the origin to (m, n) strictly above y = k*x - d, for
+    d >= 1 and n > k*m - d, by the shorter of the two sums described in
+    the module docstring (the alternating one on a tie)."""
+    e = n + d - k * m
+    # The first-passage sum has m - ceil(d/k) + 1 nonzero terms, the
+    # alternating sum min(m, (d-1)//(k+1)) + 1.  As ceil(d/k) >= 1, the first
+    # is the shorter exactly when m - ceil(d/k) < (d-1)//(k+1).
+    if m + (-d // k) < (d - 1) // (k + 1) and d >= (k - 1) * m:
+        return _finish(binomial(m + n, m) - _ballot_sum(k, e, m, -d, k + 1, False))
+    return _ballot_sum(k, e, m, d - 1, -k, True)
+
+
 def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     """Paths from (a,b) to (m,n) staying on or above y = k*x - r.
 
@@ -140,7 +166,7 @@ def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
     require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
     require(max(0, k * a - r) <= b <= n, f"need max(0, k*a-r) <= b <= n, got b={b}")
-    return _ballot_sum(k, n + r + 1 - k * m, m - a, b + r - k * a, -k, True)
+    return _unit_count(k, b + r + 1 - k * a, m - a, n - b)
 
 
 def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -156,7 +182,7 @@ def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
     require(b + r - k * a > 0, f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
     require(n > k * m - r, f"end not strictly above the line: need n > k*m - r = {k * m - r}")
-    return _ballot_sum(k, n + r - k * m, m - a, b + r - 1 - k * a, -k, True)
+    return _unit_count(k, b + r - k * a, m - a, n - b)
 
 
 def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
@@ -200,19 +226,19 @@ def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
     Conditions: k, m >= 1, 0 <= a <= m, 0 <= b <= n, n >= k*m, and
     0 <= b - k*a <= k.  Agrees with count_weak(k, 0, a, b, m, n) there.
     """
-    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
-    require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
+    require(k >= 1 and m >= 1, "need k, m >= 1, got k={}, m={}", k, m)
+    require(0 <= a <= m, "need 0 <= a <= m, got a={}, m={}", a, m)
+    require(0 <= b <= n, "need 0 <= b <= n, got b={}, n={}", b, n)
+    require(n >= k * m, "need n >= k*m, got n={}, k*m={}", n, k * m)
+    require(0 <= b - k * a <= k, "need 0 <= b - k*a <= k, got {}", b - k * a)
     return _exact(binomial(m + n - (k + 1) * a, m - a), n + 1 - k * m, n + 1 - k * a)
 
 
 def ballot(k: int, m: int, n: int) -> int:
     """Generalized ballot count: C(m+n, m) - k*C(m+n, m-1), for n >= k*m."""
-    require(k >= 1, f"need k >= 1, got {k}")
-    require(m >= 0, f"need m >= 0, got {m}")
-    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(k >= 1, "need k >= 1, got {}", k)
+    require(m >= 0, "need m >= 0, got {}", m)
+    require(n >= k * m, "need n >= k*m, got n={}, k*m={}", n, k * m)
     return binomial(m + n, m) - k * binomial(m + n, m - 1)
 
 
@@ -222,8 +248,8 @@ def fuss_catalan(k: int, m: int) -> int:
     Equals count_weak(k-1, 0, 0, 0, m, (k-1)*m); order 2 gives the Catalan
     numbers.
     """
-    require(k >= 2, f"need k >= 2, got {k}")
-    require(m >= 0, f"need m >= 0, got {m}")
+    require(k >= 2, "need k >= 2, got {}", k)
+    require(m >= 0, "need m >= 0, got {}", m)
     return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
@@ -253,12 +279,10 @@ def niederhausen(q: NiederhausenQuery) -> int:
     n > k*m - k*d.  Equals count_strict(k, k*d, 0, 0, m, n).
     """
     k, m, n, kd = q.k, q.m, q.n, q.kd
-    require(
-        kd >= (k - 1) * m,
-        f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}",
-    )
-    require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
-    require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
+    require(kd >= (k - 1) * m,
+            "outside the stated domain: need k*d >= (k-1)*m, got {} < {}", kd, (k - 1) * m)
+    require(kd >= 1, "origin not strictly above the line: need k*d >= 1, got {}", kd)
+    require(n > k * m - kd, "end not strictly above the line: need n > k*m - k*d = {}", k * m - kd)
     return _finish(binomial(m + n, m) - _ballot_sum(k, n - k * m + kd, m, -kd, k + 1, False))
 
 

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ValidationError, require
+from .errors import DEFAULT_SEED, ValidationError, require
 from .exactmath import (
     Rational,
     binomial,
     generalized_binomial,
     upper_negation,
 )
-from .formulas import _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
+from .formulas import _ballot_sum, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery
 
-DEFAULT_SEED = 7
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
 UPPER_NEGATION_MAX_K = 12  # largest lower index of a random upper-negation draw
 
@@ -169,14 +168,11 @@ def recurrence_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckRep
     the first quadrant (tuples with b - k < 0 are rejected).  When a = m the
     right-neighbor family is empty and the translated term is 0.
     """
-    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
-    require(
-        k * (a + 1) - r <= b <= n - 1,
-        f"need k*(a+1) - r <= b <= n - 1, got b={b}",
-    )
-    require(b >= k, f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
+    require(k >= 1 and m >= 1, "need k, m >= 1, got k={}, m={}", k, m)
+    require(0 <= a <= m, "need 0 <= a <= m, got a={}, m={}", a, m)
+    require(n >= k * m - r, "need n >= k*m - r: {} < {}", n, k * m - r)
+    require(k * (a + 1) - r <= b <= n - 1, "need k*(a+1) - r <= b <= n - 1, got b={}", b)
+    require(b >= k, "translated start ordinate b - k must be >= 0, got b={}, k={}", b, k)
     start_up = count_weak(k, r, a, b + 1, m, n)
     start = count_weak(k, r, a, b, m, n)
     start_right = count_weak(k, r, a, b - k, m - 1, n - k) if a <= m - 1 else 0
@@ -195,7 +191,7 @@ def shift_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckReport:
 
     Conditions: the strict evaluator's block with b >= 1.
     """
-    require(b >= 1, f"need b >= 1, got {b}")
+    require(b >= 1, "need b >= 1, got {}", b)
     strict = count_strict(k, r, a, b, m, n)
     weak = count_weak(k, r, a, b - 1, m, n - 1)
     return CheckReport(
@@ -213,9 +209,11 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     The subtracted form is ``niederhausen`` itself; the collected form
     recomputes the correction sum with the leading factor folded into the
     larger binomial, (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i)
-    * C((k+1)i-kd, i); the direct value is count_strict(k, kd, 0, 0, m, n).
-    With e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the
-    first two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
+    * C((k+1)i-kd, i); the direct value is the alternating sum of
+    count_strict(k, kd, 0, 0, m, n), taken from the kernel itself, because
+    ``count_strict`` may answer by the subtracted form.  With
+    e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the first
+    two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
     integer taken by one exact division, so the sum runs in integers.
     """
     subtracted = niederhausen(q)
@@ -225,7 +223,7 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     for i in range((kd - 1) // (k + 1) + 1, m + 1):
         upper = m + n + kd - (k + 1) * i
         collected -= _exact(binomial(upper, m - i), e, upper) * binomial((k + 1) * i - kd, i)
-    direct = count_strict(k, kd, 0, 0, m, n)
+    direct = _ballot_sum(k, e, m, kd - 1, -k, True)
     return CheckReport(
         "strict-count-forms",
         {"k": k, "d": q.d, "m": m, "n": n},

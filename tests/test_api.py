@@ -1,7 +1,12 @@
 """The public surface of the package: exactly these names, each resolving."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import latticepaths
 
@@ -60,3 +65,52 @@ def test_two_route_rule_holds_in_the_imports():
     assert "formulas" not in _imports("oracle.py")
     # The path correspondences build on the model alone.
     assert set(_imports("bijections.py")) == {"errors", "model"}
+
+
+def _child_env():
+    src = str(Path(latticepaths.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_the_root_loads_correspondences_identities_and_sweeps_on_first_use():
+    code = (
+        "import sys\n"
+        "import latticepaths\n"
+        "lazy = ('bijections', 'identities', 'verify')\n"
+        "before = dir(latticepaths)\n"
+        "assert not any(f'latticepaths.{m}' in sys.modules for m in lazy)\n"
+        "assert latticepaths.run_sweep is latticepaths.verify.run_sweep\n"
+        "assert latticepaths.DEFAULT_SEED is latticepaths.identities.DEFAULT_SEED\n"
+        "assert dir(latticepaths) == before\n"
+        "namespace = {}\n"
+        "exec('from latticepaths import *', namespace)\n"
+        "assert sorted(set(namespace) - {'__builtins__'}) == sorted(latticepaths.__all__)\n"
+        "assert all(f'latticepaths.{m}' in sys.modules for m in lazy)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_count_process_loads_no_correspondences_identities_or_sweeps():
+    code = (
+        "import sys\n"
+        "from latticepaths.cli import main\n"
+        "main(['count', '--slope', '2', '--intercept', '1', '--to', '3,7', '--weak'])\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('latticepaths')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    answer, modules = done.stdout.splitlines()
+    assert answer == "55"
+    loaded = set(modules.split())
+    assert "latticepaths.formulas" in loaded
+    assert not loaded & {"latticepaths.bijections", "latticepaths.identities", "latticepaths.verify"}
+
+
+def test_dir_lists_every_public_name_and_unknown_names_raise():
+    assert set(PUBLIC_NAMES) <= set(dir(latticepaths))
+    assert {"bijections", "identities", "verify"} <= set(dir(latticepaths))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latticepaths.no_such_name

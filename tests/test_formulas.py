@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from latticepaths import (
     niederhausen_forms_check,
     validate_query,
 )
+from latticepaths import formulas
 from latticepaths.formulas import _ballot_sum, _exact, _finish
 from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
 
@@ -419,3 +421,114 @@ def test_ballot_sum_matches_stepping_kernel_at_n_1000():
     n = 1000
     args = (2, 2 * n + 1, n, 2 * n, -2, True)
     assert _ballot_sum(*args) == stepping_ballot_sum(*args) == count_weak(2, n, 0, n, n, 3 * n)
+
+
+def _strict_form(k, r, a, b, m, n, strictness):
+    """(d, M, N): the query moved to the origin, strictly above y = k*x - d."""
+    return b + r - k * a + (strictness is WEAK), m - a, n - b
+
+
+def _alternating_sum(k, d, m, n):
+    return _ballot_sum(k, n + d - k * m, m, d - 1, -k, True)
+
+
+def _first_passage_form(k, d, m, n):
+    return math.comb(m + n, m) - _ballot_sum(k, n + d - k * m, m, -d, k + 1, False)
+
+
+def _evaluator_queries():
+    """Every query of a small grid inside count_weak's or count_strict's
+    block: k 1..3, both modes, starts (a, b) off the origin."""
+    for k, strictness in product((1, 2, 3), Strictness):
+        evaluator = count_weak if strictness is WEAK else count_strict
+        for r, a, b in product(range(-1, 7), range(0, 3), range(0, 5)):
+            for m, n in product(range(a, a + 5), range(b, b + 6)):
+                d, M, N = _strict_form(k, r, a, b, m, n, strictness)
+                if d >= 1 and N + d - k * M >= 1:
+                    yield evaluator, (k, r, a, b, m, n), strictness, (d, M, N)
+
+
+def test_both_unit_path_sums_match_the_oracle_in_niederhausens_domain():
+    checked = 0
+    for _, (k, r, a, b, m, n), strictness, (d, M, N) in _evaluator_queries():
+        if d >= (k - 1) * M:
+            expected = dp_count(PathQuery(a, b, m, n, integer_slope(k, r), strictness))
+            assert _alternating_sum(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
+            assert _first_passage_form(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
+            checked += 1
+    assert checked > 5_000
+
+
+def _nonzero_terms(total, x0, dx):
+    """Terms of the kernel's sum with both binomials nonzero, counted one by one."""
+    return sum(1 for y in range(total + 1) if 0 <= y <= x0 + dx * y)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (x0, dx) of every kernel call made through ``formulas``."""
+    calls = []
+
+    def spy(k, e, total, x0, dx, alternate):
+        calls.append((x0, dx))
+        return _ballot_sum(k, e, total, x0, dx, alternate)
+
+    monkeypatch.setattr(formulas, "_ballot_sum", spy)
+    return calls
+
+
+def test_unit_path_count_runs_the_shorter_sum(kernel_calls):
+    chosen = {"alternating": 0, "first-passage": 0}
+    for evaluator, args, _, (d, M, N) in _evaluator_queries():
+        k = args[0]
+        alternating = _nonzero_terms(M, d - 1, -k)
+        first_passage = _nonzero_terms(M, -d, k + 1)
+        kernel_calls.clear()
+        assert evaluator(*args) == _alternating_sum(k, d, M, N)
+        if first_passage < alternating and d >= (k - 1) * M:
+            assert kernel_calls == [(-d, k + 1)], args
+            chosen["first-passage"] += 1
+        else:
+            assert kernel_calls == [(d - 1, -k)], args
+            chosen["alternating"] += 1
+    assert min(chosen.values()) > 500
+
+
+def test_unit_path_count_keeps_the_alternating_sum_outside_the_domain(kernel_calls):
+    # From the origin to (10, 12) strictly above y = 3x - 19: d = 19 < (k-1)*M = 20,
+    # although the first-passage sum has 4 nonzero terms against 5.
+    k, d, M, N = 3, 19, 10, 12
+    assert _nonzero_terms(M, -d, k + 1) == 4 and _nonzero_terms(M, d - 1, -k) == 5
+    value = count_strict(k, d, 0, 0, M, N)
+    assert kernel_calls == [(d - 1, -k)]
+    assert value == dp_count(PathQuery(0, 0, M, N, integer_slope(k, d), STRICT))
+
+
+def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
+    N = 10**4
+    assert count_weak(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N)
+    assert count_strict(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N) - 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: base_case(0, 0, 0, 1, 1), "need k, m >= 1, got k=0, m=1"),
+    (lambda: base_case(1, 2, 0, 1, 1), "need 0 <= a <= m, got a=2, m=1"),
+    (lambda: base_case(1, 0, 3, 1, 2), "need 0 <= b <= n, got b=3, n=2"),
+    (lambda: base_case(2, 0, 0, 2, 3), "need n >= k*m, got n=3, k*m=4"),
+    (lambda: base_case(1, 0, 2, 1, 3), "need 0 <= b - k*a <= k, got 2"),
+    (lambda: ballot(0, 1, 1), "need k >= 1, got 0"),
+    (lambda: ballot(1, -1, 1), "need m >= 0, got -1"),
+    (lambda: ballot(2, 2, 3), "need n >= k*m, got n=3, k*m=4"),
+    (lambda: fuss_catalan(1, 3), "need k >= 2, got 1"),
+    (lambda: fuss_catalan(2, -1), "need m >= 0, got -1"),
+    (lambda: niederhausen(NiederhausenQuery(2, 1, 4, 20)),
+     "outside the stated domain: need k*d >= (k-1)*m, got 2 < 4"),
+    (lambda: niederhausen(NiederhausenQuery(1, 0, 0, 2)),
+     "origin not strictly above the line: need k*d >= 1, got 0"),
+    (lambda: niederhausen(NiederhausenQuery(1, 1, 3, 2)),
+     "end not strictly above the line: need n > k*m - k*d = 2"),
+])
+def test_precondition_messages_off_the_count_path(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -140,3 +140,38 @@ def test_random_generators_are_deterministic():
         assert 0 <= k <= 12
         report = upper_negation_check(x, k)
         assert report.ok
+
+
+def test_niederhausen_forms_check_takes_the_direct_value_by_the_alternating_sum(monkeypatch):
+    # count_strict answers this query by the subtracted form, so the direct
+    # value must come from the other sum for the check to compare two routes.
+    from latticepaths import formulas, identities
+
+    calls = []
+    kernel = formulas._ballot_sum
+
+    def spy(k, e, total, x0, dx, alternate):
+        calls.append((x0, dx))
+        return kernel(k, e, total, x0, dx, alternate)
+
+    monkeypatch.setattr(formulas, "_ballot_sum", spy)
+    monkeypatch.setattr(identities, "_ballot_sum", spy)
+    k, kd, m, n = 2, 60, 30, 60
+    report = niederhausen_forms_check(NiederhausenQuery(k, Fraction(kd, k), m, n))
+    assert report.ok, report.line()
+    assert sorted(calls) == [(-kd, k + 1), (kd - 1, -k)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: recurrence_check(0, 0, 0, 0, 1, 1), "need k, m >= 1, got k=0, m=1"),
+    (lambda: recurrence_check(1, 0, 2, 2, 1, 3), "need 0 <= a <= m, got a=2, m=1"),
+    (lambda: recurrence_check(2, 0, 0, 2, 2, 3), "need n >= k*m - r: 3 < 4"),
+    (lambda: recurrence_check(1, 0, 1, 1, 2, 4), "need k*(a+1) - r <= b <= n - 1, got b=1"),
+    (lambda: recurrence_check(2, 4, 0, 1, 1, 3),
+     "translated start ordinate b - k must be >= 0, got b=1, k=2"),
+    (lambda: shift_check(1, 1, 0, 0, 1, 2), "need b >= 1, got 0"),
+])
+def test_identity_precondition_messages(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message
