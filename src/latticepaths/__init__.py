@@ -10,8 +10,6 @@ checks in :mod:`.identities`; and grid verification sweeps in
 :mod:`.verify`.  The command line entry point is ``latticepaths``.
 """
 
-import importlib
-
 from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .exactmath import Rational, as_integer, binomial, generalized_binomial, upper_negation
 from .formulas import (
@@ -61,7 +59,8 @@ from .oracle import (
 )
 
 # Loaded on first use (PEP 562), so that ``count`` and the command line do
-# not pay for the correspondences, the identity checks and the sweeps.
+# not pay for the correspondences, the identity checks and the sweeps.  Each
+# lazy name is written here once; ``__all__`` below takes them from here.
 _LAZY = {
     name: module
     for module, names in {
@@ -83,95 +82,67 @@ _LAZY = {
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
     return module if name == _LAZY[name] else getattr(module, name)
 
 
 def __dir__() -> list[str]:
-    return sorted((globals().keys() - {"importlib", "_LAZY", "__getattr__", "__dir__"}) | _LAZY.keys())
+    return sorted((globals().keys() - {"_LAZY", "__getattr__", "__dir__"}) | _LAZY.keys())
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BohmQuery",
-    "BoundaryLine",
-    "CheckReport",
-    "DEFAULT_SEED",
-    "HagenRotheParams",
-    "KoroljukQuery",
-    "KoroljukSplit",
-    "LatticePath",
-    "MAX_ENUMERATION_STEPS",
-    "NiederhausenQuery",
-    "PathQuery",
-    "QueryCategory",
-    "QueryValidation",
-    "Rational",
-    "ResourceLimitError",
-    "SlopeKind",
-    "StepKind",
-    "StepSet",
-    "Strictness",
-    "SweepSummary",
-    "ValidationError",
-    "above",
-    "as_integer",
-    "ballot",
-    "base_case",
-    "binomial",
-    "bohm",
-    "bohm_rotate",
-    "bohm_to_unit",
-    "bohm_unrotate",
-    "complement_check",
-    "complement_sweep",
-    "count",
-    "count_stepset",
-    "count_strict",
-    "count_strict_inv",
-    "count_weak",
-    "count_weak_inv",
-    "cross_formula_sweep",
-    "dp_count",
-    "drop_one",
-    "enumerate_paths",
-    "enumerate_stepset",
-    "formula_oracle_sweep",
-    "fuss_catalan",
-    "generalized_binomial",
-    "hagen_rothe",
-    "hagen_rothe_check",
-    "hagen_rothe_sweep",
-    "integer_slope",
-    "intercept_normalization_sweep",
-    "inverse_slope",
-    "koroljuk_equality_sweep",
-    "koroljuk_literal",
-    "koroljuk_reduced",
-    "koroljuk_to_unit",
-    "lemma_translate",
-    "lemma_translate_back",
-    "min_ordinate_above",
-    "niederhausen",
-    "niederhausen_forms_check",
-    "normalize_intercept",
-    "normalize_query",
-    "path_above",
-    "raise_one",
-    "recurrence_check",
-    "recurrence_shift_sweep",
-    "reflect_inverse",
-    "reflect_inverse_back",
-    "run_bijections",
-    "run_identities",
-    "run_sweep",
-    "shift_check",
-    "strictness_insensitive",
-    "unit_to_bohm",
-    "unit_to_koroljuk",
-    "upper_negation",
-    "upper_negation_check",
-    "upper_negation_sweep",
-    "validate_query",
-]
+__all__ = sorted(
+    [
+        "BohmQuery",
+        "BoundaryLine",
+        "DEFAULT_SEED",
+        "KoroljukQuery",
+        "KoroljukSplit",
+        "LatticePath",
+        "MAX_ENUMERATION_STEPS",
+        "NiederhausenQuery",
+        "PathQuery",
+        "QueryCategory",
+        "QueryValidation",
+        "Rational",
+        "ResourceLimitError",
+        "SlopeKind",
+        "StepKind",
+        "StepSet",
+        "Strictness",
+        "ValidationError",
+        "above",
+        "as_integer",
+        "ballot",
+        "base_case",
+        "binomial",
+        "bohm",
+        "count",
+        "count_stepset",
+        "count_strict",
+        "count_strict_inv",
+        "count_weak",
+        "count_weak_inv",
+        "dp_count",
+        "enumerate_paths",
+        "enumerate_stepset",
+        "fuss_catalan",
+        "generalized_binomial",
+        "integer_slope",
+        "inverse_slope",
+        "koroljuk_literal",
+        "koroljuk_reduced",
+        "min_ordinate_above",
+        "niederhausen",
+        "normalize_intercept",
+        "normalize_query",
+        "path_above",
+        "strictness_insensitive",
+        "upper_negation",
+        "validate_query",
+    ]
+    + [name for name, module in _LAZY.items() if name != module]
+)

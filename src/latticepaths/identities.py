@@ -141,13 +141,17 @@ def complement_check(p: int, c: int, m: int, n: int) -> CheckReport:
     The intersecting count comes from the reduced sum; the avoiding count is
     the strict unit-path count above y = p*x - v with v = c + p*n - m, taken
     as 0 when v < 1 (the origin itself would not clear the line, so no walk
-    avoids x = c).
+    avoids x = c).  The avoiding count is the alternating sum of
+    count_strict(p, v, 0, 0, n, m), taken from the kernel itself (its e is
+    m + v - p*n = c): ``count_strict`` may answer by the first-passage sum,
+    which is ``koroljuk_reduced``'s own, and would make the split hold by
+    construction.
     """
     query = KoroljukQuery(p, c, m, n)
     total = binomial(m + n, n)
     intersecting = koroljuk_reduced(query)
     v = c + p * n - m
-    avoiding = count_strict(p, v, 0, 0, n, m) if v >= 1 else 0
+    avoiding = _ballot_sum(p, c, n, v - 1, -p, True) if v >= 1 else 0
     return CheckReport(
         "complement",
         {"p": p, "c": c, "m": m, "n": n},
