@@ -43,6 +43,7 @@ from .model import (
     StepSet,
     Strictness,
     _first_exit,
+    _k_times_r,
 )
 
 # Letter tables of the relabellings: H = (1,0), V = (0,1) on unit paths;
@@ -141,10 +142,7 @@ def _integral_kr(path: LatticePath, line: BoundaryLine, kind_message: str) -> in
     """Check a unit path and an inverse-slope line with k*r integral; return k*r."""
     _require_unit(path)
     require(line.kind is SlopeKind.INVERSE, kind_message)
-    kr_num, r_den = line.k * line.r.numerator, line.r.denominator
-    if kr_num % r_den:
-        raise ValidationError(f"need k*r integral, got k*r = {line.k * line.r}")
-    return kr_num // r_den
+    return _k_times_r(line.k, line.r)
 
 
 def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:

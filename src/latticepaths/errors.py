@@ -23,8 +23,7 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed a hard work budget (enumeration steps or DP cells)."""
 
 
-def require(condition: bool, message: str, *args: object) -> None:
-    """Raise ValidationError(message) unless ``condition`` holds.  With
-    ``args``, the message is ``message.format(*args)``, built only on failure."""
+def require(condition: bool, message: str) -> None:
+    """Raise ValidationError(message) unless ``condition`` holds."""
     if not condition:
-        raise ValidationError(message.format(*args) if args else message)
+        raise ValidationError(message)

@@ -9,63 +9,63 @@ kept above a boundary line:
 * ``count_strict_inv`` strictly above y = x/k - r
 
 Each of them, and the walk counts named after Böhm, Koroljuk and
-Niederhausen, is one ballot-style sum, evaluated by the private kernel
-``_ballot_sum``:
+Niederhausen, is a count in origin form (k, d, M, N): paths from (0, 0) to
+(M, N) strictly above y = k*x - d, with d >= 1 and e = N + d - k*M >= 1.
+Two private sums give it, both through the kernel ``_ballot_sum``,
 
     sum over y of (+-1) * e/(e+k*j) * C(e+(k+1)*j-1, j) * C(x0+dx*y, y),
 
-with j = L - y, and a sign that is (-1)^y or constant.  In the paper's
-indexing e + k*j is the ballot denominator D, j and y are affine in the
-summation index i, and e = D - k*j does not depend on i.  Each evaluator
-is a thin map onto the kernel's parameters (k, e, L, x0, dx, sign):
+with j = M - y (in the paper's indexing, e + k*j is the ballot denominator):
 
-==================  =====  ============  =====  =============  =====  =====
-evaluator           k      e             L      x0             dx     sign
-==================  =====  ============  =====  =============  =====  =====
-count_weak          k      n+r+1-k*m     m-a    b+r-k*a        -k     alt
-count_strict        k      n+r-k*m       m-a    b+r-1-k*a      -k     alt
-count_weak_inv      k      k*b+k*r-a+1   n-b    k*n+k*r-m      -k     alt
-count_strict_inv    k      k*b+k*r-a     n-b    k*n+k*r-m-1    -k     alt
-bohm                rise   start_alt     ups    end_alt-1      -rise  alt
-koroljuk_reduced    p      c             n      m-c-p*n        p+1    +
-niederhausen        k      n-k*m+k*d     m      -k*d           k+1    +
-==================  =====  ============  =====  =============  =====  =====
+* ``_avoiding``, the alternating sum (x0 = d-1, dx = -k), is the count; it
+  has min(M, (d-1)//(k+1)) + 1 nonzero terms;
+* ``_touching``, the last-passage sum (x0 = -d, dx = k+1, sign +), counts
+  the paths that are not strictly above; it has max(0, M - ceil(d/k) + 1).
 
-(``niederhausen`` subtracts its sum from C(m+n, m); ``koroljuk_reduced``
-runs over y = n - i.)  Every term is an integer, because
-e/(e+k*j) * C(t, j) = C(t, j) - k*C(t, j-1) for t = e+(k+1)*j-1.
+Each evaluator is one map onto (k, d, M, N):
 
-The kernel visits only the y at which both binomials are nonzero
-(0 <= j and 0 <= y <= x0+dx*y), so its work is bounded by the nonzero
-terms, not by an unrelated parameter such as a huge intercept.  It takes
-the first term's binomials from ``exactmath.binomial`` (a negative upper
-index raises) and each later term from the one before by a ratio of
-k + |dx| + 2 small factors, in one exact multiply-then-divide that raises
-ArithmeticError on a remainder; a negative total raises too, so a
-transcription slip cannot produce a silently wrong count.
+==================  ===============================================
+evaluator           call
+==================  ===============================================
+count_weak          _unit_count(k, b+r+1-k*a, m-a, n-b)
+count_strict        _unit_count(k, b+r-k*a, m-a, n-b)
+count_weak_inv      _unit_count(k, k*n+k*r+1-m, n-b, m-a)
+count_strict_inv    _unit_count(k, k*n+k*r-m, n-b, m-a)
+bohm                _avoiding(rise, end_alt, ups, down_steps)
+koroljuk_reduced    _touching(p, c+p*n-m, n, m)
+niederhausen        C(m+n, m) - _touching(k, k*d, m, n)
+==================  ===============================================
 
-``count_weak`` and ``count_strict`` share one chooser, ``_unit_count``.  It
-moves the query to the origin in strict form: paths from (0, 0) to (M, N)
-strictly above y = k*x - d, with M = m - a, N = n - b and d = b + r - k*a
-(plus 1 for weak).  Two kernel sums give that count.  The alternating sum
-(the ``count_strict`` row at a = b = 0) has min(M, (d-1)//(k+1)) + 1 nonzero
-terms.  The first-passage sum (the ``niederhausen`` row with k*d = d),
-subtracted from C(M+N, M), has max(0, M - ceil(d/k) + 1).  The chooser
-counts both in O(1) and runs the first-passage sum only when it is strictly
-shorter and d >= (k-1)*M, Niederhausen's stated domain; it does not guess
-beyond it.  A line that only clips the rectangle thus costs one binomial.
-``bohm``, ``koroljuk_reduced``, ``niederhausen`` and the inverse-slope
-evaluators keep their own sums, so the sweeps still compare distinct routes.
+The inverse rows turn the rectangle by 180 degrees and swap the axes, as
+``bijections.reflect_inverse`` does to paths.  ``_unit_count`` runs
+``_touching``, subtracted from C(M+N, M), when it has strictly fewer
+nonzero terms, so a line that only clips the rectangle costs one binomial.
+The last three rows make their own kernel call whatever the chooser would
+pick, so the sweeps still compare distinct routes.
+
+``_touching`` holds for every d >= 1, not only in Niederhausen's stated
+domain d >= (k-1)*M, which ``niederhausen`` keeps as its precondition:
+
+* A path that ends above the line but is not strictly above it has a
+  last point on y - k*x = -d: an up step raises y - k*x by exactly 1, so
+  the path cannot skip over the line.
+* Before that point (X, k*X - d) the path is free, C((k+1)*X - d, X) ways.
+  After it the path stays strictly above: e/(e+k*j) * C(e+(k+1)*j-1, j)
+  ways with j = M - X, by the cycle lemma.
+* These are exactly ``_touching``'s terms, at y = X.
+
+Every term is an integer, as e/(e+k*j) * C(t, j) = C(t, j) - k*C(t, j-1)
+for t = e+(k+1)*j-1.  The kernel visits only the y at which both binomials
+are nonzero, so its work is bounded by the nonzero terms, not by a huge
+intercept.  It steps each term from the one before by a ratio of
+k + |dx| + 2 small factors in one exact multiply-then-divide; a remainder
+or a negative total raises ArithmeticError, never a wrong count.
 
 The remaining evaluators are specializations and relatives: generalized
 ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (a second
-route for the cross-checks, with its own sum over the abscissae and one
-exact division per term, not the kernel's term ratio), and a totalizing
-``count`` wrapper for parameter sweeps.
-
-Preconditions are enforced exactly as documented on each function; the
-evaluators demand validated queries, while ``count`` accepts anything and
-returns 0 when no paths exist.
+route with its own sum over the abscissae and one exact division per term),
+and the totalizing ``count``, which accepts any query and returns 0 when
+no paths exist.  The evaluators enforce the preconditions each documents.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import require
-from .exactmath import Rational, as_integer, binomial
+from .exactmath import Rational, binomial
 from .model import (
     BohmQuery,
     BoundaryLine,
@@ -82,16 +82,16 @@ from .model import (
     PathQuery,
     SlopeKind,
     Strictness,
+    _k_times_r,
     normalize_query,
     validate_query,
 )
 
 
-def _finish(total: Fraction | int) -> int:
-    value = as_integer(total)
-    if value < 0:
-        raise ArithmeticError(f"count collapsed to a negative value: {value}")
-    return value
+def _finish(total: int) -> int:
+    if total < 0:
+        raise ArithmeticError(f"count collapsed to a negative value: {total}")
+    return total
 
 
 def _exact(value: int, num: int, den: int) -> int:
@@ -144,17 +144,23 @@ def _ballot_sum(k: int, e: int, total: int, x0: int, dx: int, alternate: bool) -
         j, t, x, y = j - 1, t - k - 1, x + dx, y + 1
 
 
+def _avoiding(k: int, d: int, m: int, n: int) -> int:
+    """Paths from the origin to (m, n) strictly above y = k*x - d, by the alternating sum."""
+    return _ballot_sum(k, n + d - k * m, m, d - 1, -k, True)
+
+
+def _touching(k: int, d: int, m: int, n: int) -> int:
+    """The paths to (m, n) not strictly above y = k*x - d, by their last point on it."""
+    return _ballot_sum(k, n + d - k * m, m, -d, k + 1, False)
+
+
 def _unit_count(k: int, d: int, m: int, n: int) -> int:
-    """Paths from the origin to (m, n) strictly above y = k*x - d, for
-    d >= 1 and n > k*m - d, by the shorter of the two sums described in
-    the module docstring (the alternating one on a tie)."""
-    e = n + d - k * m
-    # The first-passage sum has m - ceil(d/k) + 1 nonzero terms, the
-    # alternating sum min(m, (d-1)//(k+1)) + 1.  As ceil(d/k) >= 1, the first
-    # is the shorter exactly when m - ceil(d/k) < (d-1)//(k+1).
-    if m + (-d // k) < (d - 1) // (k + 1) and d >= (k - 1) * m:
-        return _finish(binomial(m + n, m) - _ballot_sum(k, e, m, -d, k + 1, False))
-    return _ballot_sum(k, e, m, d - 1, -k, True)
+    """``_avoiding(k, d, m, n)`` by the shorter of the two sums (the
+    alternating one on a tie).  As ceil(d/k) >= 1, ``_touching`` is the
+    shorter exactly when m - ceil(d/k) < (d-1)//(k+1)."""
+    if m + (-d // k) < (d - 1) // (k + 1):
+        return _finish(binomial(m + n, m) - _touching(k, d, m, n))
+    return _avoiding(k, d, m, n)
 
 
 def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -192,15 +198,13 @@ def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) ->
     max(0, a/k - r) <= b <= n, n >= m/k - r.
     """
     require(k >= 1, f"need k >= 1, got {k}")
-    kr = Fraction(r) * k
-    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
-    kr = int(kr)
+    kr = _k_times_r(k, r)
     require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
     require(b >= 0, f"need b >= 0, got {b}")
     require(k * b >= a - kr, f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
     require(b <= n, f"need b <= n, got b={b}, n={n}")
     require(k * n >= m - kr, f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
-    return _ballot_sum(k, k * b + kr - a + 1, n - b, k * n + kr - m, -k, True)
+    return _unit_count(k, k * n + kr - m + 1, n - b, m - a)
 
 
 def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
@@ -210,14 +214,12 @@ def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) 
     k*b + k*r - a > 0 (start strictly above), and k*n + k*r - m > 0.
     """
     require(k >= 1, f"need k >= 1, got {k}")
-    kr = Fraction(r) * k
-    require(kr.denominator == 1, f"need k*r integral, got k*r = {kr}")
-    kr = int(kr)
+    kr = _k_times_r(k, r)
     require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
     require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
     require(k * b + kr - a > 0, f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
     require(k * n + kr - m > 0, f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
-    return _ballot_sum(k, k * b + kr - a, n - b, k * n + kr - m - 1, -k, True)
+    return _unit_count(k, k * n + kr - m, n - b, m - a)
 
 
 def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
@@ -226,19 +228,19 @@ def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
     Conditions: k, m >= 1, 0 <= a <= m, 0 <= b <= n, n >= k*m, and
     0 <= b - k*a <= k.  Agrees with count_weak(k, 0, a, b, m, n) there.
     """
-    require(k >= 1 and m >= 1, "need k, m >= 1, got k={}, m={}", k, m)
-    require(0 <= a <= m, "need 0 <= a <= m, got a={}, m={}", a, m)
-    require(0 <= b <= n, "need 0 <= b <= n, got b={}, n={}", b, n)
-    require(n >= k * m, "need n >= k*m, got n={}, k*m={}", n, k * m)
-    require(0 <= b - k * a <= k, "need 0 <= b - k*a <= k, got {}", b - k * a)
+    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
+    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
     return _exact(binomial(m + n - (k + 1) * a, m - a), n + 1 - k * m, n + 1 - k * a)
 
 
 def ballot(k: int, m: int, n: int) -> int:
     """Generalized ballot count: C(m+n, m) - k*C(m+n, m-1), for n >= k*m."""
-    require(k >= 1, "need k >= 1, got {}", k)
-    require(m >= 0, "need m >= 0, got {}", m)
-    require(n >= k * m, "need n >= k*m, got n={}, k*m={}", n, k * m)
+    require(k >= 1, f"need k >= 1, got {k}")
+    require(m >= 0, f"need m >= 0, got {m}")
+    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
     return binomial(m + n, m) - k * binomial(m + n, m - 1)
 
 
@@ -248,8 +250,8 @@ def fuss_catalan(k: int, m: int) -> int:
     Equals count_weak(k-1, 0, 0, 0, m, (k-1)*m); order 2 gives the Catalan
     numbers.
     """
-    require(k >= 2, "need k >= 2, got {}", k)
-    require(m >= 0, "need m >= 0, got {}", m)
+    require(k >= 2, f"need k >= 2, got {k}")
+    require(m >= 0, f"need m >= 0, got {m}")
     return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
@@ -267,7 +269,7 @@ def koroljuk_literal(q: KoroljukQuery) -> int:
 def koroljuk_reduced(q: KoroljukQuery) -> int:
     """Same count as koroljuk_literal, reindexed over i = (s - c)/(p+1)."""
     p, c, m, n = q.p, q.c, q.m, q.n
-    return _ballot_sum(p, c, n, m - c - p * n, p + 1, False)
+    return _touching(p, c + p * n - m, n, m)
 
 
 def niederhausen(q: NiederhausenQuery) -> int:
@@ -280,10 +282,10 @@ def niederhausen(q: NiederhausenQuery) -> int:
     """
     k, m, n, kd = q.k, q.m, q.n, q.kd
     require(kd >= (k - 1) * m,
-            "outside the stated domain: need k*d >= (k-1)*m, got {} < {}", kd, (k - 1) * m)
-    require(kd >= 1, "origin not strictly above the line: need k*d >= 1, got {}", kd)
-    require(n > k * m - kd, "end not strictly above the line: need n > k*m - k*d = {}", k * m - kd)
-    return _finish(binomial(m + n, m) - _ballot_sum(k, n - k * m + kd, m, -kd, k + 1, False))
+            f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}")
+    require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
+    require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
+    return _finish(binomial(m + n, m) - _touching(k, kd, m, n))
 
 
 def bohm(q: BohmQuery) -> int:
@@ -293,8 +295,7 @@ def bohm(q: BohmQuery) -> int:
     term whose binomials are nonzero.  Equals count_strict(rise, end_alt, 0, 0, ups,
     start_alt + rise*ups - end_alt).
     """
-    t = q.rise
-    return _ballot_sum(t, q.start_alt, q.ups, q.end_alt - 1, -t, True)
+    return _avoiding(q.rise, q.end_alt, q.ups, q.down_steps)
 
 
 def _shift_up(q: PathQuery, s: int) -> PathQuery:

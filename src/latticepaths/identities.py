@@ -25,7 +25,7 @@ from .exactmath import (
     generalized_binomial,
     upper_negation,
 )
-from .formulas import _ballot_sum, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
+from .formulas import _avoiding, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery
 
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
@@ -141,17 +141,17 @@ def complement_check(p: int, c: int, m: int, n: int) -> CheckReport:
     The intersecting count comes from the reduced sum; the avoiding count is
     the strict unit-path count above y = p*x - v with v = c + p*n - m, taken
     as 0 when v < 1 (the origin itself would not clear the line, so no walk
-    avoids x = c).  The avoiding count is the alternating sum of
-    count_strict(p, v, 0, 0, n, m), taken from the kernel itself (its e is
-    m + v - p*n = c): ``count_strict`` may answer by the first-passage sum,
-    which is ``koroljuk_reduced``'s own, and would make the split hold by
+    avoids x = c).  The avoiding count is the alternating sum
+    ``_avoiding(p, v, n, m)``, not ``count_strict(p, v, 0, 0, n, m)``: that
+    may answer by the last-passage sum ``_touching(p, v, n, m)``, which is
+    ``koroljuk_reduced``'s own, and would make the split hold by
     construction.
     """
     query = KoroljukQuery(p, c, m, n)
     total = binomial(m + n, n)
     intersecting = koroljuk_reduced(query)
     v = c + p * n - m
-    avoiding = _ballot_sum(p, c, n, v - 1, -p, True) if v >= 1 else 0
+    avoiding = _avoiding(p, v, n, m) if v >= 1 else 0
     return CheckReport(
         "complement",
         {"p": p, "c": c, "m": m, "n": n},
@@ -172,11 +172,11 @@ def recurrence_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckRep
     the first quadrant (tuples with b - k < 0 are rejected).  When a = m the
     right-neighbor family is empty and the translated term is 0.
     """
-    require(k >= 1 and m >= 1, "need k, m >= 1, got k={}, m={}", k, m)
-    require(0 <= a <= m, "need 0 <= a <= m, got a={}, m={}", a, m)
-    require(n >= k * m - r, "need n >= k*m - r: {} < {}", n, k * m - r)
-    require(k * (a + 1) - r <= b <= n - 1, "need k*(a+1) - r <= b <= n - 1, got b={}", b)
-    require(b >= k, "translated start ordinate b - k must be >= 0, got b={}, k={}", b, k)
+    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
+    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
+    require(k * (a + 1) - r <= b <= n - 1, f"need k*(a+1) - r <= b <= n - 1, got b={b}")
+    require(b >= k, f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
     start_up = count_weak(k, r, a, b + 1, m, n)
     start = count_weak(k, r, a, b, m, n)
     start_right = count_weak(k, r, a, b - k, m - 1, n - k) if a <= m - 1 else 0
@@ -195,7 +195,7 @@ def shift_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckReport:
 
     Conditions: the strict evaluator's block with b >= 1.
     """
-    require(b >= 1, "need b >= 1, got {}", b)
+    require(b >= 1, f"need b >= 1, got {b}")
     strict = count_strict(k, r, a, b, m, n)
     weak = count_weak(k, r, a, b - 1, m, n - 1)
     return CheckReport(
@@ -213,9 +213,9 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     The subtracted form is ``niederhausen`` itself; the collected form
     recomputes the correction sum with the leading factor folded into the
     larger binomial, (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i)
-    * C((k+1)i-kd, i); the direct value is the alternating sum of
-    count_strict(k, kd, 0, 0, m, n), taken from the kernel itself, because
-    ``count_strict`` may answer by the subtracted form.  With
+    * C((k+1)i-kd, i); the direct value is the alternating sum
+    ``_avoiding(k, kd, m, n)``, not ``count_strict(k, kd, 0, 0, m, n)``,
+    which may answer by the subtracted form.  With
     e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the first
     two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
     integer taken by one exact division, so the sum runs in integers.
@@ -227,7 +227,7 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     for i in range((kd - 1) // (k + 1) + 1, m + 1):
         upper = m + n + kd - (k + 1) * i
         collected -= _exact(binomial(upper, m - i), e, upper) * binomial((k + 1) * i - kd, i)
-    direct = _ballot_sum(k, e, m, kd - 1, -k, True)
+    direct = _avoiding(k, kd, m, n)
     return CheckReport(
         "strict-count-forms",
         {"k": k, "d": q.d, "m": m, "n": n},

@@ -113,7 +113,7 @@ def above(point: tuple[int, int], line: BoundaryLine, strictness: Strictness) ->
 
 def min_ordinate_above(line: BoundaryLine, x: int, strictness: Strictness) -> int:
     """Smallest integer y with (x, y) above the line."""
-    return _min_ordinates(line, strictness)(x)
+    return _floors(*line._form(strictness))(x)
 
 
 def _floors(a: int, b: int, c: int) -> Callable[[int], int]:
@@ -122,10 +122,11 @@ def _floors(a: int, b: int, c: int) -> Callable[[int], int]:
     return lambda x: -((c - b * x) // a)
 
 
-def _min_ordinates(line: BoundaryLine, strictness: Strictness) -> Callable[[int], int]:
-    """``min_ordinate_above`` of one line and mode as a function of x, with
-    the line's form derived once."""
-    return _floors(*line._form(strictness))
+def _k_times_r(k: int, r: Rational | int) -> int:
+    """k*r as an int, if it is integral, built from r's numerator and denominator."""
+    if k * r.numerator % r.denominator:
+        raise ValidationError(f"need k*r integral, got k*r = {k * r}")
+    return k * r.numerator // r.denominator
 
 
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:

@@ -76,7 +76,7 @@ from .model import (
     PathQuery,
     SlopeKind,
     Strictness,
-    _min_ordinates,
+    _floors,
     integer_slope,
     inverse_slope,
     normalize_intercept,
@@ -152,7 +152,7 @@ def _above_floors(
 ) -> Iterator[tuple[int, int, int, int]]:
     """(a, b, m, n) of each box tuple with b >= min_ordinate_above(a) and n >=
     min_ordinate_above(m): the boundary-valid queries, as every pair has start <= end."""
-    floor = _min_ordinates(line, strictness)
+    floor = _floors(*line._form(strictness))
     for a, m in columns:
         start_floor, end_floor = floor(a), floor(m)
         for b, n in rows:
@@ -218,7 +218,7 @@ NON_INTEGER_INTERCEPTS: tuple[Fraction, ...] = (
 def _intercept_cases(line: BoundaryLine) -> Iterator[PathQuery]:
     """A few queries with both endpoints strictly above the line, so both
     strictness modes are boundary-valid."""
-    floor = _min_ordinates(line, Strictness.STRICT)
+    floor = _floors(*line._form(Strictness.STRICT))
     for m in (2, 3):
         b = max(0, floor(0))
         yield PathQuery(0, b, m, max(b, floor(m)) + 2, line, Strictness.WEAK)

@@ -65,6 +65,21 @@ def test_two_route_rule_holds_in_the_imports():
     assert "formulas" not in _imports("oracle.py")
     # The path correspondences build on the model alone.
     assert set(_imports("bijections.py")) == {"errors", "model"}
+    # Every other module reaches the kernel through formulas' two
+    # origin-form sums, which are its only callers there.
+    package = Path(latticepaths.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        if module.name != "formulas.py":
+            assert all("_ballot_sum" not in names for names in _imports(module.name).values()), module
+    tree = ast.parse((package / "formulas.py").read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ballot_sum"
+    }
+    assert callers == {"_avoiding", "_touching"}
 
 
 def _child_env():

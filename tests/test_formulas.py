@@ -38,8 +38,7 @@ from latticepaths import (
     niederhausen_forms_check,
     validate_query,
 )
-from latticepaths import formulas
-from latticepaths.formulas import _ballot_sum, _exact, _finish
+from latticepaths.formulas import _avoiding, _ballot_sum, _exact, _finish, _touching
 from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
 
 WEAK = Strictness.WEAK
@@ -428,18 +427,14 @@ def _strict_form(k, r, a, b, m, n, strictness):
     return b + r - k * a + (strictness is WEAK), m - a, n - b
 
 
-def _alternating_sum(k, d, m, n):
-    return _ballot_sum(k, n + d - k * m, m, d - 1, -k, True)
+def _last_passage_form(k, d, m, n):
+    return math.comb(m + n, m) - _touching(k, d, m, n)
 
 
-def _first_passage_form(k, d, m, n):
-    return math.comb(m + n, m) - _ballot_sum(k, n + d - k * m, m, -d, k + 1, False)
-
-
-def _evaluator_queries():
+def _evaluator_queries(ks=(1, 2, 3)):
     """Every query of a small grid inside count_weak's or count_strict's
-    block: k 1..3, both modes, starts (a, b) off the origin."""
-    for k, strictness in product((1, 2, 3), Strictness):
+    block: slopes ``ks``, both modes, starts (a, b) off the origin."""
+    for k, strictness in product(ks, Strictness):
         evaluator = count_weak if strictness is WEAK else count_strict
         for r, a, b in product(range(-1, 7), range(0, 3), range(0, 5)):
             for m, n in product(range(a, a + 5), range(b, b + 6)):
@@ -448,15 +443,25 @@ def _evaluator_queries():
                     yield evaluator, (k, r, a, b, m, n), strictness, (d, M, N)
 
 
-def test_both_unit_path_sums_match_the_oracle_in_niederhausens_domain():
-    checked = 0
-    for _, (k, r, a, b, m, n), strictness, (d, M, N) in _evaluator_queries():
-        if d >= (k - 1) * M:
-            expected = dp_count(PathQuery(a, b, m, n, integer_slope(k, r), strictness))
-            assert _alternating_sum(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
-            assert _first_passage_form(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
-            checked += 1
-    assert checked > 5_000
+def test_both_unit_path_sums_match_the_oracle_for_every_d():
+    # Niederhausen's stated domain d >= (k-1)*M does not bind the
+    # last-passage sum: both sums hold for every d >= 1.
+    checked = outside = 0
+    for _, (k, r, a, b, m, n), strictness, (d, M, N) in _evaluator_queries(range(1, 6)):
+        expected = dp_count(PathQuery(a, b, m, n, integer_slope(k, r), strictness))
+        assert _avoiding(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
+        assert _last_passage_form(k, d, M, N) == expected, (k, r, a, b, m, n, strictness)
+        checked += 1
+        outside += d < (k - 1) * M
+    assert checked > 10_000 and outside > 500
+    # And from the origin, every 1 <= d < (k-1)*M with the end just above the line.
+    for k, M in product(range(2, 6), range(1, 12)):
+        for d, e in product(range(1, (k - 1) * M), range(1, 7)):
+            N = k * M - d + e
+            expected = dp_count(PathQuery(0, 0, M, N, integer_slope(k, d), STRICT))
+            assert _avoiding(k, d, M, N) == _last_passage_form(k, d, M, N) == expected, (k, d, M, N)
+            outside += 1
+    assert outside > 4_000
 
 
 def _nonzero_terms(total, x0, dx):
@@ -464,50 +469,57 @@ def _nonzero_terms(total, x0, dx):
     return sum(1 for y in range(total + 1) if 0 <= y <= x0 + dx * y)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """The (x0, dx) of every kernel call made through ``formulas``."""
-    calls = []
-
-    def spy(k, e, total, x0, dx, alternate):
-        calls.append((x0, dx))
-        return _ballot_sum(k, e, total, x0, dx, alternate)
-
-    monkeypatch.setattr(formulas, "_ballot_sum", spy)
-    return calls
-
-
 def test_unit_path_count_runs_the_shorter_sum(kernel_calls):
-    chosen = {"alternating": 0, "first-passage": 0}
+    chosen = {"alternating": 0, "last-passage": 0}
     for evaluator, args, _, (d, M, N) in _evaluator_queries():
         k = args[0]
         alternating = _nonzero_terms(M, d - 1, -k)
-        first_passage = _nonzero_terms(M, -d, k + 1)
+        last_passage = _nonzero_terms(M, -d, k + 1)
+        expected = _avoiding(k, d, M, N)
         kernel_calls.clear()
-        assert evaluator(*args) == _alternating_sum(k, d, M, N)
-        if first_passage < alternating and d >= (k - 1) * M:
+        assert evaluator(*args) == expected
+        if last_passage < alternating:
             assert kernel_calls == [(-d, k + 1)], args
-            chosen["first-passage"] += 1
+            chosen["last-passage"] += 1
         else:
             assert kernel_calls == [(d - 1, -k)], args
             chosen["alternating"] += 1
     assert min(chosen.values()) > 500
 
 
-def test_unit_path_count_keeps_the_alternating_sum_outside_the_domain(kernel_calls):
+def test_unit_path_count_runs_the_last_passage_sum_outside_the_domain(kernel_calls):
     # From the origin to (10, 12) strictly above y = 3x - 19: d = 19 < (k-1)*M = 20,
-    # although the first-passage sum has 4 nonzero terms against 5.
+    # outside Niederhausen's stated domain, and the last-passage sum has 4
+    # nonzero terms against 5.
     k, d, M, N = 3, 19, 10, 12
     assert _nonzero_terms(M, -d, k + 1) == 4 and _nonzero_terms(M, d - 1, -k) == 5
     value = count_strict(k, d, 0, 0, M, N)
-    assert kernel_calls == [(d - 1, -k)]
+    assert kernel_calls == [(-d, k + 1)]
     assert value == dp_count(PathQuery(0, 0, M, N, integer_slope(k, d), STRICT))
+
+
+def test_inverse_slope_counts_reach_the_chooser(kernel_calls):
+    # (0, 0) -> (10, 5) strictly above y = x/2 - 5 turns into the origin form
+    # (k, d, M, N) = (2, 10, 5, 10), where the last-passage sum has 1 nonzero
+    # term against 4.
+    k, r, m, n = 2, 5, 10, 5
+    d, M = k * n + k * r - m, n
+    assert _nonzero_terms(M, -d, k + 1) == 1 and _nonzero_terms(M, d - 1, -k) == 4
+    value = count_strict_inv(k, r, 0, 0, m, n)
+    assert kernel_calls == [(-d, k + 1)]
+    assert value == dp_count(PathQuery(0, 0, m, n, inverse_slope(k, r), STRICT))
 
 
 def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
     N = 10**4
     assert count_weak(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N)
     assert count_strict(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N) - 1
+    assert count_weak_inv(2, N, 0, 0, 2 * N, N) == math.comb(3 * N, N)
+    assert count_strict_inv(2, N, 0, 0, 2 * N, N) == math.comb(3 * N, N) - 1
+    for N in (5, 7):
+        for evaluator, strictness in ((count_weak_inv, WEAK), (count_strict_inv, STRICT)):
+            q = PathQuery(0, 0, 2 * N, N, inverse_slope(2, N), strictness)
+            assert evaluator(2, N, 0, 0, 2 * N, N) == dp_count(q), (N, strictness)
 
 
 @pytest.mark.parametrize("call, message", [

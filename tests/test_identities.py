@@ -142,34 +142,17 @@ def test_random_generators_are_deterministic():
         assert report.ok
 
 
-def _kernel_calls(monkeypatch):
-    """Record (x0, dx) of every kernel call made by the formulas and the checks."""
-    from latticepaths import formulas, identities
-
-    calls = []
-    kernel = formulas._ballot_sum
-
-    def spy(k, e, total, x0, dx, alternate):
-        calls.append((x0, dx))
-        return kernel(k, e, total, x0, dx, alternate)
-
-    monkeypatch.setattr(formulas, "_ballot_sum", spy)
-    monkeypatch.setattr(identities, "_ballot_sum", spy)
-    return calls
-
-
-def test_niederhausen_forms_check_takes_the_direct_value_by_the_alternating_sum(monkeypatch):
+def test_niederhausen_forms_check_takes_the_direct_value_by_the_alternating_sum(kernel_calls):
     # count_strict answers this query by the subtracted form, so the direct
     # value must come from the other sum for the check to compare three routes.
-    calls = _kernel_calls(monkeypatch)
     k, kd, m, n = 2, 60, 30, 60
     report = niederhausen_forms_check(NiederhausenQuery(k, Fraction(kd, k), m, n))
     assert report.ok, report.line()
-    assert sorted(calls) == [(-kd, k + 1), (kd - 1, -k)]
+    assert sorted(kernel_calls) == [(-kd, k + 1), (kd - 1, -k)]
 
 
-def test_complement_check_takes_the_avoiding_count_by_the_alternating_sum(monkeypatch):
-    # count_strict(p, v, 0, 0, n, m) answers this query by the first-passage
+def test_complement_check_takes_the_avoiding_count_by_the_alternating_sum(kernel_calls):
+    # count_strict(p, v, 0, 0, n, m) answers this query by the last-passage
     # sum, which is koroljuk_reduced's own; the avoiding count must come from
     # the alternating sum for the split to compare two routes.
     from latticepaths import (
@@ -184,13 +167,12 @@ def test_complement_check_takes_the_avoiding_count_by_the_alternating_sum(monkey
 
     p, c, m, n = 3, 8, 7, 4
     v = c + p * n - m
-    calls = _kernel_calls(monkeypatch)
     count_strict(p, v, 0, 0, n, m)
-    assert calls == [(-v, p + 1)]
-    calls.clear()
+    assert kernel_calls == [(-v, p + 1)]
+    kernel_calls.clear()
     report = complement_check(p, c, m, n)
     assert report.ok, report.line()
-    assert sorted(calls) == [(m - c - p * n, p + 1), (v - 1, -p)]
+    assert sorted(kernel_calls) == [(m - c - p * n, p + 1), (v - 1, -p)]
     avoiding = dp_count(PathQuery(0, 0, n, m, integer_slope(p, v), Strictness.STRICT))
     assert report.values["avoiding"] == avoiding
     assert report.values["intersecting"] == koroljuk_reduced(KoroljukQuery(p, c, m, n))
