@@ -10,6 +10,8 @@ checks in :mod:`.identities`; and grid verification sweeps in
 :mod:`.verify`.  The command line entry point is ``latticepaths``.
 """
 
+from types import ModuleType as _Module
+
 from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .exactmath import Rational, as_integer, binomial, generalized_binomial, upper_negation
 from .formulas import (
@@ -94,55 +96,14 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+# Every public name is written once: the eager imports above, less the
+# submodules they bind, and the lazy names.
 __all__ = sorted(
     [
-        "BohmQuery",
-        "BoundaryLine",
-        "DEFAULT_SEED",
-        "KoroljukQuery",
-        "KoroljukSplit",
-        "LatticePath",
-        "MAX_ENUMERATION_STEPS",
-        "NiederhausenQuery",
-        "PathQuery",
-        "QueryCategory",
-        "QueryValidation",
-        "Rational",
-        "ResourceLimitError",
-        "SlopeKind",
-        "StepKind",
-        "StepSet",
-        "Strictness",
-        "ValidationError",
-        "above",
-        "as_integer",
-        "ballot",
-        "base_case",
-        "binomial",
-        "bohm",
-        "count",
-        "count_stepset",
-        "count_strict",
-        "count_strict_inv",
-        "count_weak",
-        "count_weak_inv",
-        "dp_count",
-        "enumerate_paths",
-        "enumerate_stepset",
-        "fuss_catalan",
-        "generalized_binomial",
-        "integer_slope",
-        "inverse_slope",
-        "koroljuk_literal",
-        "koroljuk_reduced",
-        "min_ordinate_above",
-        "niederhausen",
-        "normalize_intercept",
-        "normalize_query",
-        "path_above",
-        "strictness_insensitive",
-        "upper_negation",
-        "validate_query",
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _Module)
     ]
     + [name for name, module in _LAZY.items() if name != module]
 )
+del _Module

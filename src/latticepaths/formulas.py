@@ -70,19 +70,17 @@ no paths exist.  The evaluators enforce the preconditions each documents.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import require
 from .exactmath import Rational, binomial
 from .model import (
     BohmQuery,
-    BoundaryLine,
     KoroljukQuery,
     NiederhausenQuery,
     PathQuery,
     SlopeKind,
     Strictness,
     _k_times_r,
+    _moved,
     normalize_query,
     validate_query,
 )
@@ -298,27 +296,6 @@ def bohm(q: BohmQuery) -> int:
     return _avoiding(q.rise, q.end_alt, q.ups, q.down_steps)
 
 
-def _shift_up(q: PathQuery, s: int) -> PathQuery:
-    """Translate a query vertically by s units (same paths, smaller intercept)."""
-    line = q.boundary
-    shifted = BoundaryLine(line.kind, line.k, line.r - s)
-    return PathQuery(q.a, q.b + s, q.m, q.n + s, shifted, q.strictness)
-
-
-def _shift_right(q: PathQuery, s: int) -> PathQuery:
-    """Translate a query horizontally by s units (same paths, larger intercept).
-
-    Moving every abscissa up by s raises the line's value at the image
-    points by k*s (integer slope) or s/k (inverse slope); bumping r by the
-    same amount restores the original constraint, and k*r stays integral
-    for the inverse kind.
-    """
-    line = q.boundary
-    bump = line.k * s if line.kind is SlopeKind.INTEGER else Fraction(s, line.k)
-    shifted = BoundaryLine(line.kind, line.k, line.r + bump)
-    return PathQuery(q.a + s, q.b, q.m + s, q.n, shifted, q.strictness)
-
-
 def _evaluate(q: PathQuery) -> int:
     """The core evaluator matching q's slope kind and strictness, applied to
     q as it stands (integral intercept for the integer kind); the
@@ -344,8 +321,6 @@ def count(q: PathQuery) -> int:
     if not validate_query(q).ok:
         return 0
     eff = normalize_query(q)
-    if eff.a < 0:
-        eff = _shift_right(eff, -eff.a)
-    if eff.b < 0:
-        eff = _shift_up(eff, -eff.b)
+    if eff.a < 0 or eff.b < 0:
+        eff = _moved(eff, max(-eff.a, 0), max(-eff.b, 0))
     return _evaluate(eff)

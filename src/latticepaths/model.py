@@ -30,10 +30,14 @@ Conventions used throughout the package:
   (1,rise)/(1,-1) altitude walks).  A LatticePath stores its steps as this
   word; the step vectors are derived from it.
 
-Non-integral intercepts never change which lattice points satisfy the
-constraint compared to a canonical snapped value; ``normalize_intercept``
-computes that canonical form, and for genuinely non-integral cases the
-strict and weak constraints coincide.
+Both intercept rules read the weak form (A, B, C).  Every A*y - B*x is a
+multiple of g = gcd(A, B), so a lattice point lies on the line exactly when
+g divides C (``strictness_insensitive`` is the negation: then strict and
+weak coincide), and C constrains lattice points exactly as g*floor(C/g)
+does (``normalize_intercept``'s snap, floor(r) for the integer slope and
+floor(k*r)/k for the inverse slope).  A translated query moves the line
+with it by adding B*dx - A*dy to C.  In this module only ``_form``,
+``value_at`` and ``describe`` branch on the slope kind.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd
 
 from .errors import ValidationError
 from .exactmath import Rational
@@ -132,25 +137,23 @@ def _k_times_r(k: int, r: Rational | int) -> int:
 def normalize_intercept(line: BoundaryLine) -> BoundaryLine:
     """Snap a non-integral intercept to its canonical equivalent.
 
-    Integer slope: a non-integer r constrains lattice points exactly as
-    floor(r) does.  Inverse slope: a non-integer k*r constrains exactly as
-    floor(k*r)/k does.  Integral cases are returned unchanged.
+    With (A, B, C) the weak form and g = gcd(A, B), every value A*y - B*x
+    is a multiple of g, so C constrains lattice points exactly as
+    g*floor(C/g) does: r = floor(C/g)/(A/g), which is floor(r) for the
+    integer slope and floor(k*r)/k for the inverse slope.  Integral cases
+    come back equal.
     """
-    if line.kind is SlopeKind.INTEGER:
-        if line.r.denominator == 1:
-            return line
-        return BoundaryLine(line.kind, line.k, Fraction(line.r.numerator // line.r.denominator))
-    kr = line.k * line.r
-    if kr.denominator == 1:
-        return line
-    return BoundaryLine(line.kind, line.k, Fraction(kr.numerator // kr.denominator, line.k))
+    a, b, c = line._form(Strictness.WEAK)
+    g = gcd(a, b)
+    return BoundaryLine(line.kind, line.k, Fraction(c // g, a // g))
 
 
 def strictness_insensitive(line: BoundaryLine) -> bool:
-    """True when no lattice point can land exactly on the line."""
-    if line.kind is SlopeKind.INTEGER:
-        return line.r.denominator != 1
-    return (line.k * line.r).denominator != 1
+    """True when no lattice point lies on the line: with (A, B, C) the weak
+    form, A*y - B*x + C = 0 has an integer solution exactly when gcd(A, B)
+    divides C."""
+    a, b, c = line._form(Strictness.WEAK)
+    return c % gcd(a, b) != 0
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,18 @@ def normalize_query(q: PathQuery) -> PathQuery:
         return q
     line = normalize_intercept(q.boundary)
     return PathQuery(q.a, q.b, q.m, q.n, line, Strictness.WEAK)
+
+
+def _moved(q: PathQuery, dx: int, dy: int) -> PathQuery:
+    """q translated by (dx, dy): the same paths, the line moved with them.
+
+    The moved line is A*(y-dy) - B*(x-dx) + C >= 0, so the weak form's
+    constant gains B*dx - A*dy; for both slope kinds that form's C/A is the
+    intercept.
+    """
+    a, b, c = q.boundary._form(Strictness.WEAK)
+    line = BoundaryLine(q.boundary.kind, q.boundary.k, Fraction(c + b * dx - a * dy, a))
+    return PathQuery(q.a + dx, q.b + dy, q.m + dx, q.n + dy, line, q.strictness)
 
 
 class QueryCategory(Enum):

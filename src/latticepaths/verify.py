@@ -80,6 +80,7 @@ from .model import (
     integer_slope,
     inverse_slope,
     normalize_intercept,
+    strictness_insensitive,
 )
 from .oracle import (
     _census_table,
@@ -230,11 +231,8 @@ def intercept_normalization_sweep() -> SweepSummary:
     the closed form routed through the totalizing wrapper."""
     summary = SweepSummary()
     for r in NON_INTEGER_INTERCEPTS:
-        lines = [integer_slope(2, r)]
-        for k in (2, 3):
-            if (k * r).denominator != 1:
-                lines.append(inverse_slope(k, r))
-        for line in lines:
+        lines = (integer_slope(2, r), inverse_slope(2, r), inverse_slope(3, r))
+        for line in filter(strictness_insensitive, lines):
             snapped = normalize_intercept(line)
             for weak_q in _intercept_cases(line):
                 strict_q = replace(weak_q, strictness=Strictness.STRICT)

@@ -1,6 +1,7 @@
 """Tests for boundaries, queries, step sets, and path encodings."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +18,7 @@ from latticepaths import (
     Strictness,
     ValidationError,
     above,
+    dp_count,
     enumerate_paths,
     integer_slope,
     inverse_slope,
@@ -27,6 +29,7 @@ from latticepaths import (
     strictness_insensitive,
     validate_query,
 )
+from latticepaths.model import _moved
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -111,15 +114,66 @@ def test_normalize_intercept_idempotent(k, r, kind):
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=1, max_value=4),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([SlopeKind.INTEGER, SlopeKind.INVERSE]),
 )
-def test_non_integer_intercepts_are_strictness_insensitive(x, y, k, r):
-    line = integer_slope(k, r)
+@example(1, 0, 2, Fraction(1, 3), SlopeKind.INVERSE)  # k*r = 2/3: snapped to r = 0
+@example(-1, -1, 3, Fraction(-1, 2), SlopeKind.INVERSE)  # k*r = -3/2: snapped to r = -2/3
+def test_non_integer_intercepts_are_strictness_insensitive(x, y, k, r, kind):
+    line = BoundaryLine(kind, k, r)
     if not strictness_insensitive(line):
         return
     normalized = normalize_intercept(line)
     weak = above((x, y), line, WEAK)
     assert weak == above((x, y), line, STRICT)
     assert weak == above((x, y), normalized, WEAK)
+
+
+def test_the_gcd_rule_finds_the_lattice_points_on_the_line():
+    # Strictness matters exactly where a lattice point lies on the line.  With
+    # r in [-2, 2], any such line has one in the window: at x = 0 (integer
+    # slope) or at y = 0 (inverse slope, x = k*r).
+    window = list(product(range(-8, 9), range(-2, 3)))
+    sensitive = set()
+    for kind, k, den in product(SlopeKind, range(1, 5), range(1, 7)):
+        for num in range(-2 * den, 2 * den + 1):
+            line = BoundaryLine(kind, k, Fraction(num, den))
+            on_line = any(above(p, line, WEAK) != above(p, line, STRICT) for p in window)
+            assert strictness_insensitive(line) is not on_line, line
+            if on_line:
+                sensitive.add(kind)
+    assert sensitive == set(SlopeKind)
+
+
+@given(
+    st.sampled_from([SlopeKind.INTEGER, SlopeKind.INVERSE]),
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.sampled_from([WEAK, STRICT]),
+    st.integers(min_value=-3, max_value=2),
+    st.integers(min_value=-3, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+@example(SlopeKind.INVERSE, 2, Fraction(0), WEAK, 0, 0, 3, 2, 1, 0)  # r becomes 1/2
+def test_moved_query_keeps_its_paths_and_moves_the_form(
+    kind, k, r, strictness, a, b, width, height, dx, dy
+):
+    q = PathQuery(a, b, a + width, b + height, BoundaryLine(kind, k, r), strictness)
+    moved = _moved(q, dx, dy)
+    assert (moved.a, moved.b, moved.m, moved.n) == (a + dx, b + dy, q.m + dx, q.n + dy)
+    assert (moved.boundary.kind, moved.boundary.k, moved.strictness) == (kind, k, strictness)
+    assert dp_count(moved) == dp_count(q)
+    big_a, big_b, big_c = q.boundary._form(WEAK)
+    expected = (big_a, big_b, big_c + big_b * dx - big_a * dy)
+    form = moved.boundary._form(WEAK)
+    if kind is SlopeKind.INTEGER:
+        assert form == expected
+    else:
+        # A move can change the intercept's denominator, which scales the
+        # inverse slope's form by a positive factor.
+        assert [big_a * v for v in form] == [form[0] * v for v in expected]
 
 
 def test_validate_query_examples():
