@@ -82,6 +82,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="also write the output to a file")
 
 
+# The flags of count, enumerate and transform that take a possibly negative value.
+_QUERY_FLAGS = ("--from", "--to", "--intercept", "--slope")
+
+
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slope", type=_parse_slope, required=True,
                         help="boundary slope: integer k or 1/k")
@@ -376,6 +380,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -1,0 or -1/3 after a flag as a flag, but
+    # --from=-1,0 as a value: join each such value to its query flag.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and argv[i - 1] in _QUERY_FLAGS:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -57,9 +57,9 @@ domain d >= (k-1)*M, which ``niederhausen`` keeps as its precondition:
 Every term is an integer, as e/(e+k*j) * C(t, j) = C(t, j) - k*C(t, j-1)
 for t = e+(k+1)*j-1.  The kernel visits only the y at which both binomials
 are nonzero, so its work is bounded by the nonzero terms, not by a huge
-intercept.  It steps each term from the one before by a ratio of
-k + |dx| + 2 small factors in one exact multiply-then-divide; a remainder
-or a negative total raises ArithmeticError, never a wrong count.
+intercept.  It steps each term from the one before by the reduced term
+ratio, four falling factorials (``math.perm``) and two small factors, in one
+exact divmod; a remainder or a negative total raises ArithmeticError.
 
 The remaining evaluators are specializations and relatives: generalized
 ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (a second
@@ -69,6 +69,8 @@ no paths exist.  The evaluators enforce the preconditions each documents.
 """
 
 from __future__ import annotations
+
+from math import perm
 
 from .errors import require
 from .exactmath import Rational, binomial
@@ -117,29 +119,24 @@ def _ballot_sum(k: int, e: int, total: int, x0: int, dx: int, alternate: bool) -
         return 0
     y, j = low, total - low
     t, x = e + (k + 1) * j - 1, x0 + dx * low
-    term = _exact(binomial(t, j) * binomial(x, y), e, t - j + 1)  # e + k*j = t - j + 1
-    acc = 0
-    while True:
-        acc += -term if alternate and y & 1 else term
-        if y == high:
-            return _finish(acc)
-        # num/den = T(y+1)/T(y): lead factor at (j-1, t-k-1) over (j, t), times C(x+dx, y+1)/C(x, y)
-        num, den = j * (t - j + 1), t * (t - j + 1 - k) * (y + 1)
-        for i in range(k):
-            num *= t - j - i
-            den *= t - 1 - i
+    sign = -1 if alternate else 1
+    term = acc = sign**y * _exact(binomial(t, j) * binomial(x, y), e, t - j + 1)  # e+k*j = t-j+1
+    # T(y+1)/T(y) = sign*j*P(t-j+1, k)*X+ / ((y+1)*P(t, k+1)*X-), with P = perm and
+    # X+/X- = P(x+dx, dx)/P(x-y+dx-1, dx-1), or P(x-y, 1-dx)/P(x, -dx) for dx <= 0.
+    # Every perm argument is >= 0 and den > 0: e >= 1; j >= 1 inside the loop; x >= y
+    # when dx > 1; x >= y + 1 - dx before a step when dx <= 0, since y + 1 is visited.
+    while y < high:
         if dx > 0:
-            for i in range(1, dx + 1):
-                num *= x + i
-            for i in range(1, dx):
-                den *= x - y + i
+            up, down = perm(x + dx, dx), perm(x - y + dx - 1, dx - 1)
         else:
-            num *= x - y
-            for i in range(-dx):
-                num *= x - y - 1 - i
-                den *= x - i
-        term = _exact(term, num, den)
+            up, down = perm(x - y, 1 - dx), perm(x, -dx)
+        den = (y + 1) * perm(t, k + 1) * down
+        term, remainder = divmod(term * (sign * j * perm(t - j + 1, k) * up), den)
+        if remainder:
+            raise ArithmeticError(f"inexact binomial step: remainder {remainder} modulo {den}")
+        acc += term
         j, t, x, y = j - 1, t - k - 1, x + dx, y + 1
+    return _finish(acc)
 
 
 def _avoiding(k: int, d: int, m: int, n: int) -> int:

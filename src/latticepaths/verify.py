@@ -269,13 +269,7 @@ def run_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
 # ---------------------------------------------------------------------------
 # Identity grids and seeded random identities
 
-KOROLJUK_GRID = tuple(
-    (p, c, m, n)
-    for p in (1, 2, 3)
-    for c in range(1, 9)
-    for m in range(1, 9)
-    for n in range(1, 5)
-)
+KOROLJUK_GRID = tuple(product((1, 2, 3), range(1, 9), range(1, 9), range(1, 5)))  # (p, c, m, n)
 
 
 def koroljuk_equality_sweep() -> SweepSummary:
@@ -336,22 +330,16 @@ def upper_negation_sweep(pairs: int = 500, seed: int = DEFAULT_SEED) -> SweepSum
 
 
 def _niederhausen_grid() -> Iterator[NiederhausenQuery]:
-    for k in (1, 2, 3):
-        for m in range(0, 7):
-            for n in range(1, 7):
-                low = max(1, (k - 1) * m, k * m - n + 1)
-                for kd in range(low, (k + 1) * m + k + 3):
-                    yield NiederhausenQuery(k, Fraction(kd, k), m, n)
+    for k, m, n in product((1, 2, 3), range(0, 7), range(1, 7)):
+        for kd in range(max(1, (k - 1) * m, k * m - n + 1), (k + 1) * m + k + 3):
+            yield NiederhausenQuery(k, Fraction(kd, k), m, n)
 
 
 def _bohm_grid() -> Iterator[BohmQuery]:
     """Rises 1..3, altitudes 1..4, up to five up-steps: every balanced query."""
-    for rise in (1, 2, 3):
-        for start_alt in range(1, 5):
-            for end_alt in range(1, 5):
-                for ups in range(0, 6):
-                    if start_alt + rise * ups >= end_alt:
-                        yield BohmQuery(rise, start_alt, end_alt, ups)
+    for rise, start_alt, end_alt, ups in product((1, 2, 3), range(1, 5), range(1, 5), range(0, 6)):
+        if start_alt + rise * ups >= end_alt:
+            yield BohmQuery(rise, start_alt, end_alt, ups)
 
 
 def cross_formula_sweep() -> SweepSummary:

@@ -137,6 +137,37 @@ def test_count_huge_intercept_small_rectangle(capsys):
     assert out == "10\n"
 
 
+@pytest.mark.parametrize("spaced, joined, out", [
+    (("count", "--slope", "1/2", "--intercept", "3/2", "--from", "-1,0", "--to", "6,5", "--strict"),
+     ("count", "--slope", "1/2", "--intercept", "3/2", "--from=-1,0", "--to", "6,5", "--strict"),
+     "716\n"),
+    (("count", "--slope", "1", "--intercept", "-1/3", "--from", "-1,0", "--to", "3,5", "--weak",
+      "--oracle"),
+     ("count", "--slope", "1", "--intercept=-1/3", "--from=-1,0", "--to", "3,5", "--weak",
+      "--oracle"),
+     "42 42 match\n"),
+    (("enumerate", "--slope", "1", "--intercept", "-1/3", "--from", "-1,0", "--to", "-1,1",
+      "--weak"),
+     ("enumerate", "--slope", "1", "--intercept=-1/3", "--from=-1,0", "--to=-1,1", "--weak"),
+     "V\n"),
+    (("transform", "--map", "drop-one", "--slope", "1", "--intercept", "-1", "--from", "-1,1",
+      "--path", "VH"),
+     ("transform", "--map", "drop-one", "--slope", "1", "--intercept=-1", "--from=-1,1",
+      "--path", "VH"),
+     "VH @ (-1,0)\n"),
+])
+def test_spaced_and_joined_negative_values_read_alike(capsys, spaced, joined, out):
+    spaced_run = run(capsys, *spaced)
+    assert spaced_run == run(capsys, *joined)
+    assert spaced_run[:2] == (0, out)
+
+
+def test_a_flag_followed_by_a_flag_still_lacks_its_value(capsys):
+    code, out, err = run(capsys, "count", "--slope", "1", "--from", "--to", "3,4", "--weak")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --from: expected one argument\n")
+
+
 def test_koroljuk_both_forms(capsys):
     code, out, _ = run(capsys, "koroljuk", "--p", "1", "--c", "1",
                        "--m", "2", "--n", "1", "--form", "both")

@@ -24,6 +24,7 @@ from latticepaths import (
     bohm,
     count,
     count_strict,
+    count_stepset,
     count_strict_inv,
     count_weak,
     count_weak_inv,
@@ -38,6 +39,7 @@ from latticepaths import (
     niederhausen_forms_check,
     validate_query,
 )
+from latticepaths import formulas
 from latticepaths.formulas import _avoiding, _ballot_sum, _exact, _finish, _touching
 from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
 
@@ -420,6 +422,40 @@ def test_ballot_sum_matches_stepping_kernel_at_n_1000():
     n = 1000
     args = (2, 2 * n + 1, n, 2 * n, -2, True)
     assert _ballot_sum(*args) == stepping_ballot_sum(*args) == count_weak(2, n, 0, n, n, 3 * n)
+
+
+def test_ballot_sum_matches_stepping_kernel_in_the_last_passage_direction_at_n_1000():
+    # _touching(1, 330, 1000, 1000): dx = k + 1 = 2, a sum of 671 terms.
+    args = (1, 330, 1000, -330, 2, False)
+    assert _ballot_sum(*args) == stepping_ballot_sum(*args) == _touching(1, 330, 1000, 1000)
+    assert math.comb(2000, 1000) - _ballot_sum(*args) == _avoiding(1, 330, 1000, 1000)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda n, k: math.perm(n + 1, k),
+    lambda n, k: math.perm(n, k) + 1,
+], ids=["argument-off-by-one", "product-off-by-one"])
+def test_a_wrong_term_ratio_raises_instead_of_counting(monkeypatch, fault):
+    monkeypatch.setattr(formulas, "perm", fault)
+    for call in (
+        lambda: _ballot_sum(2, 2001, 1000, 2000, -2, True),
+        lambda: _ballot_sum(1, 330, 1000, -330, 2, False),
+        lambda: count_weak_inv(2, 150, 150, 0, 450, 150),
+        lambda: koroljuk_reduced(KoroljukQuery(1, 4, 150, 150)),
+    ):
+        with pytest.raises(ArithmeticError, match="inexact binomial step: remainder"):
+            call()
+
+
+@pytest.mark.parametrize("n", [148, 150])
+def test_walk_and_inverse_slope_counts_match_the_oracle_at_size(n):
+    # The big-counts benchmark shapes at about a third of their size.
+    for evaluator, strictness in ((count_weak_inv, WEAK), (count_strict_inv, STRICT)):
+        q = PathQuery(n, 0, 3 * n, n, inverse_slope(2, n), strictness)
+        assert evaluator(2, n, n, 0, 3 * n, n) == dp_count(q), (n, strictness)
+    for start in (3, 7):
+        q = BohmQuery(2, start, n, n)
+        assert bohm(q) == count_stepset(q), (n, start)
 
 
 def _strict_form(k, r, a, b, m, n, strictness):
