@@ -20,10 +20,9 @@ single JSON document {command, parameters, result, ok}.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .formulas import bohm, count, koroljuk_literal, koroljuk_reduced, niederhausen
@@ -108,6 +107,7 @@ def _emit(args: argparse.Namespace, text: str, parameters: dict, result: object,
     result, ok}; with --out, write the same output to a file first."""
     output = text
     if args.json:
+        import json
         command = " ".join(filter(None, (args.command, getattr(args, "verify_command", None))))
         output = json.dumps({"command": command, "parameters": parameters,
                              "result": result, "ok": ok})

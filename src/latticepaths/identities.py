@@ -13,10 +13,9 @@ draw parameters from seeded generators so every run is reproducible;
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import DEFAULT_SEED, ValidationError, require
 from .exactmath import (
@@ -26,7 +25,7 @@ from .exactmath import (
     upper_negation,
 )
 from .formulas import _avoiding, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
-from .model import KoroljukQuery, NiederhausenQuery
+from .model import KoroljukQuery, NiederhausenQuery, _record_class
 
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
 UPPER_NEGATION_MAX_K = 12  # largest lower index of a random upper-negation draw
@@ -48,7 +47,7 @@ def _jsonable(value: object):
     return str(value)
 
 
-@dataclass(frozen=True)
+@_record_class
 class CheckReport:
     """Outcome of one identity check: what was checked, on what, with what values."""
 
@@ -72,7 +71,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
+@_record_class
 class HagenRotheParams:
     """Parameters of the rational convolution identity.
 

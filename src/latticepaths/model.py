@@ -43,7 +43,6 @@ with it by adding B*dx - A*dy to C.  In this module only ``_form``,
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
@@ -63,7 +62,45 @@ class SlopeKind(Enum):
     INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
+def _record_class(cls: type, frozen: bool = True) -> type:
+    """Give a class the methods of a value type over its annotated fields,
+    written once per class as ``dataclasses`` writes them, less any the class
+    defines: ``__init__`` in field order (class attributes are defaults;
+    ``__post_init__`` runs last), a ``Name(field=value, ...)`` repr, ``==`` on
+    the field tuples of one class, and when frozen a field-tuple hash and no
+    setattr or delattr; a mutable record is unhashable."""
+    names = list(cls.__annotations__)
+    mine = "".join(f"self.{name}, " for name in names)
+    store = " _set(self, {0!r}, {0})" if frozen else " self.{0} = {0}"
+    source = [
+        f"def __init__(self, {', '.join(names)}):", *map(store.format, names),
+        " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        "def __eq__(self, other):",
+        " if other.__class__ is not self.__class__: return NotImplemented",
+        f" return ({mine}) == ({mine.replace('self.', 'other.')})",
+        f"def __hash__(self): return hash(({mine}))",
+        "__setattr__ = __delattr__ = _frozen" if frozen else "__hash__ = None",
+    ]
+    methods = {"__repr__": _repr}
+    exec("\n".join(source), {"_set": object.__setattr__, "_frozen": _frozen}, methods)
+    methods["__init__"].__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    methods["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+@_record_class
 class BoundaryLine:
     """The line y = k*x - r (INTEGER kind) or y = x/k - r (INVERSE kind)."""
 
@@ -156,7 +193,7 @@ def strictness_insensitive(line: BoundaryLine) -> bool:
     return c % gcd(a, b) != 0
 
 
-@dataclass(frozen=True)
+@_record_class
 class PathQuery:
     """Monotone unit paths from (a, b) to (m, n) kept above a boundary line."""
 
@@ -168,7 +205,7 @@ class PathQuery:
     strictness: Strictness
 
 
-@dataclass(frozen=True)
+@_record_class
 class KoroljukQuery:
     """Walks with m steps (1,1) and n steps (-p,1) from the origin, classified
     against the vertical line x = c."""
@@ -184,7 +221,7 @@ class KoroljukQuery:
                 raise ValidationError(f"KoroljukQuery needs {name} >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@_record_class
 class NiederhausenQuery:
     """Paths from (0,0) to (m,n) strictly above y = k*(x - d), with k*d integral."""
 
@@ -209,7 +246,7 @@ class NiederhausenQuery:
         return self.k * self.d.numerator // self.d.denominator
 
 
-@dataclass(frozen=True)
+@_record_class
 class BohmQuery:
     """Walks with `ups` steps (1,rise) and the forced number of (1,-1) steps
     from altitude start_alt to altitude end_alt, all altitudes kept >= 1."""
@@ -267,7 +304,7 @@ class QueryCategory(Enum):
     INVALID = "invalid"  # no paths: endpoint violates the constraint or is unreachable
 
 
-@dataclass(frozen=True)
+@_record_class
 class QueryValidation:
     category: QueryCategory
     reason: str
@@ -318,7 +355,7 @@ class StepKind(Enum):
     BOHM = "bohm"
 
 
-@dataclass(frozen=True)
+@_record_class
 class StepSet:
     """A named two-step alphabet together with its letter encoding.  The
     factories ``unit``, ``koroljuk`` and ``bohm`` share one instance per argument."""
@@ -371,7 +408,7 @@ class StepSet:
             raise ValidationError(f"step {step} does not belong to the {self.kind.value} step set") from None
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@_record_class
 class LatticePath:
     """A start point plus a word of step letters from a declared step set.
 

@@ -31,7 +31,8 @@ sequences).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .errors import ResourceLimitError
 from .model import BohmQuery, KoroljukQuery, LatticePath, PathQuery, StepSet, _floors
@@ -133,11 +134,8 @@ def enumerate_paths(q: PathQuery) -> list[LatticePath]:
     return _walk(*_unit_map(q), "HV", (q.a, q.b), StepSet.unit())
 
 
-class KoroljukSplit(NamedTuple):
-    """Counts of (1,1)/(-p,1) walks split by whether they meet the line x = c."""
-
-    avoiding: int
-    intersecting: int
+KoroljukSplit = namedtuple("KoroljukSplit", "avoiding intersecting")
+KoroljukSplit.__doc__ = "Counts of (1,1)/(-p,1) walks split by whether they meet the line x = c."
 
 
 def _stepset_map(q: KoroljukQuery | BohmQuery, caller: str) -> tuple:

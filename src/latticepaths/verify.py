@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, partial
 from itertools import groupby, product
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Sequence
 
 from .formulas import _evaluate, bohm, count, count_strict, koroljuk_literal, koroljuk_reduced
 from .bijections import (
@@ -77,6 +76,7 @@ from .model import (
     SlopeKind,
     Strictness,
     _floors,
+    _record_class,
     integer_slope,
     inverse_slope,
     normalize_intercept,
@@ -92,7 +92,7 @@ from .oracle import (
 )
 
 
-@dataclass
+@partial(_record_class, frozen=False)
 class SweepSummary:
     """Tally of a verification sweep: checks run, failures, first witness."""
 
@@ -216,13 +216,13 @@ NON_INTEGER_INTERCEPTS: tuple[Fraction, ...] = (
 )
 
 
-def _intercept_cases(line: BoundaryLine) -> Iterator[PathQuery]:
-    """A few queries with both endpoints strictly above the line, so both
-    strictness modes are boundary-valid."""
+def _intercept_cases(line: BoundaryLine) -> Iterator[tuple[int, int, int, int]]:
+    """The corners (a, b, m, n) of a few queries with both endpoints strictly
+    above the line, so both strictness modes are boundary-valid."""
     floor = _floors(*line._form(Strictness.STRICT))
     for m in (2, 3):
         b = max(0, floor(0))
-        yield PathQuery(0, b, m, max(b, floor(m)) + 2, line, Strictness.WEAK)
+        yield 0, b, m, max(b, floor(m)) + 2
 
 
 def intercept_normalization_sweep() -> SweepSummary:
@@ -234,9 +234,10 @@ def intercept_normalization_sweep() -> SweepSummary:
         lines = (integer_slope(2, r), inverse_slope(2, r), inverse_slope(3, r))
         for line in filter(strictness_insensitive, lines):
             snapped = normalize_intercept(line)
-            for weak_q in _intercept_cases(line):
-                strict_q = replace(weak_q, strictness=Strictness.STRICT)
-                snapped_q = replace(weak_q, boundary=snapped)
+            for corners in _intercept_cases(line):
+                weak_q = PathQuery(*corners, line, Strictness.WEAK)
+                strict_q = PathQuery(*corners, line, Strictness.STRICT)
+                snapped_q = PathQuery(*corners, snapped, Strictness.WEAK)
                 values = {
                     "weak oracle": dp_count(weak_q),
                     "strict oracle": dp_count(strict_q),

@@ -1,6 +1,7 @@
 """The public surface of the package: exactly these names, each resolving."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -129,3 +130,38 @@ def test_dir_lists_every_public_name_and_unknown_names_raise():
     assert {"bijections", "identities", "verify"} <= set(dir(latticepaths))
     with pytest.raises(AttributeError, match="no_such_name"):
         latticepaths.no_such_name
+
+
+def _child_modules(code):
+    """The modules loaded by a child without the site module, which would
+    load its own (``.pth`` files, for one), after running ``code``."""
+    done = subprocess.run([sys.executable, "-S", "-c", code + "print(' '.join(sys.modules))\n"],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *output, modules = done.stdout.splitlines()
+    return output, set(modules.split())
+
+
+def test_a_count_process_loads_no_stdlib_module_beyond_argparse_and_fractions():
+    # Building a parser loads what argparse imports on first use: shutil for
+    # the terminal width and locale for its messages.
+    _, baseline = _child_modules("import sys, argparse, fractions\nargparse.ArgumentParser()\n")
+    output, loaded = _child_modules(
+        "import sys\n"
+        "from latticepaths.cli import main\n"
+        "main(['count', '--slope', '2', '--intercept', '1', '--to', '3,7', '--weak'])\n"
+    )
+    assert output == ["55"]
+    extra = {m for m in loaded - baseline if m != "latticepaths" and not m.startswith("latticepaths.")}
+    assert extra <= {"__future__"}, sorted(extra)
+
+
+def test_a_json_count_process_prints_one_json_document():
+    done = subprocess.run(
+        [sys.executable, "-m", "latticepaths.cli", "count", "--slope=2", "--intercept=1",
+         "--to=3,7", "--weak", "--json"],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["command"] == "count" and doc["result"] == 55 and doc["ok"] is True
