@@ -21,7 +21,6 @@ from latticepaths import (
     StepSet,
     Strictness,
     SweepSummary,
-    integer_slope,
     validate_query,
 )
 
@@ -107,7 +106,6 @@ def test_keyword_construction_matches_positional():
     assert BohmQuery(rise=2, start_alt=1, end_alt=3, ups=4) == BohmQuery(2, 1, 3, 4)
     assert QueryValidation(reason="r", category=QueryCategory.INVALID) == QueryValidation(
         QueryCategory.INVALID, "r")
-    assert StepSet(kind=StepKind.KOROLJUK, param=2) is not StepSet.koroljuk(2)
     assert StepSet(kind=StepKind.KOROLJUK, param=2) == StepSet.koroljuk(2)
     assert CheckReport(ok=False, values={}, parameters={}, name="x") == CheckReport("x", {}, {}, False)
     assert HagenRotheParams(n=2, gamma=1, beta=2, alpha=1) == HagenRotheParams(1, 2, 1, 2)
@@ -123,7 +121,6 @@ def test_keyword_construction_matches_positional():
 def test_step_set_parameter_defaults_to_zero():
     assert StepSet(StepKind.UNIT).param == 0
     assert StepSet(StepKind.UNIT) == StepSet(kind=StepKind.UNIT) == StepSet.unit()
-    assert integer_slope(1).r == 0
 
 
 def test_sweep_summary_is_mutable_and_unhashable():
