@@ -1,19 +1,30 @@
 """Executable path correspondences, each a total map with a declared inverse.
 
-Every transform takes explicit paths (``model.LatticePath``), validates that
-the input belongs to the declared source family, and returns the image path.
-Membership is decided in integers by ``model._first_exit``, one running sum
-of a linear form along the path's word: the line's form, as in
-``path_above`` (written out as (1, k, v - s) for an integer-slope target
-line, which is then never built), and in the walk checks the form of
-x <= c - 1 or of altitude >= 1, so a walk family is a line region too.  The
-bijection claims (image lands in the target family, injectivity, matching
-cardinalities, round trips) are enforced by the oracle-backed test sweeps
-rather than re-checked inside each call.
+Each correspondence is one word-level core, a function (start, word) ->
+(start, word) on the members of one family, built by a private factory
+named after its public map (``_drop_one`` for ``drop_one``).  A factory
+takes the family's step set and the public map's other parameters, runs
+the family checks (step set, line kind, integral intercept or k*r; c, p,
+rise and end_alt >= 1), and takes the line's integer form and per-letter
+rise table once.  Its core runs the per-path checks with the messages of
+the public map, in the same order, and returns the image's start and word.
+Each public map is a thin wrapper, ``LatticePath(*core(path.start,
+path.word), image step set)``, so the sweeps in ``verify``, which call the
+cores on the oracle's words, and the public maps share every line of each
+map's arithmetic.
+
+Membership is decided in integers by ``model._exit_level``, one running sum
+of a linear form along the word: the line's form, as in ``path_above``
+(written out as (1, k, v - s) for an integer-slope target line, which is
+then never built), and in the walk checks the form of x <= c - 1 or of
+altitude >= 1, so a walk family is a line region too.  The bijection claims
+(image lands in the target family, injectivity, matching cardinalities,
+round trips) are enforced by the oracle-backed test sweeps rather than
+re-checked inside each call.
 
 The unit-path transforms relate strict and weak families above integer- and
-inverse-slope lines.  The four translations share one helper that runs their
-checks in a fixed order and shifts the start:
+inverse-slope lines.  The four translations share one factory that runs
+their checks in a fixed order and shifts the start:
 
 * ``drop_one`` / ``raise_one``: strictly above y = k*x - r from (a, b)
   versus weakly above from (a, b-1), same steps.
@@ -29,7 +40,7 @@ altitude walks with steps (1,p)/(1,-1), and unit paths strictly above
 y = p*x - v.  The continuous rotations behind them pass through irrational
 coordinates, so they are realized here as integer step-sequence maps whose
 correctness rests on the exhaustive small-instance tests.  Like the
-reflection, each walk map relabels the path's word through one letter table.
+reflection, each walk map relabels the word through one letter table.
 """
 
 from __future__ import annotations
@@ -42,9 +53,13 @@ from .model import (
     StepKind,
     StepSet,
     Strictness,
-    _first_exit,
+    _exit_level,
     _k_times_r,
+    _rises,
 )
+
+_Point = tuple[int, int]
+_Key = tuple[_Point, str]  # a path as (start, word), the argument and the value of a core
 
 # Letter tables of the relabellings: H = (1,0), V = (0,1) on unit paths;
 # U = (1,1), D = (-p,1) on walks; U = (1,rise), D = (1,-1) on altitude walks.
@@ -54,46 +69,63 @@ _UNIT_TO_KOROLJUK = str.maketrans("VH", "UD")
 _ROTATE = str.maketrans("UD", "DU")  # either way between the two walk families
 _BOHM_TO_UNIT = str.maketrans("UD", "HV")
 _UNIT_TO_BOHM = str.maketrans("HV", "UD")
+_AXES = ("abscissa", "ordinate")
 
 
-def _require_unit(path: LatticePath) -> None:
-    require(path.step_set.kind is StepKind.UNIT, "transform expects a unit path")
+def _require_unit(step_set: StepSet) -> None:
+    require(step_set.kind is StepKind.UNIT, "transform expects a unit path")
 
 
-def _recode(
-    path: LatticePath, table: dict, step_set: StepSet, start: tuple[int, int], reverse: bool = True
-) -> LatticePath:
-    """Relabel every letter of ``path`` through the ``str.maketrans`` table,
-    in reverse order when ``reverse`` is set, as a path of ``step_set`` from
-    ``start``."""
-    word = path.word[::-1] if reverse else path.word
-    return LatticePath(start, word.translate(table), step_set)
+def _unit_end(start: _Point, word: str) -> _Point:
+    """The end of the unit path from ``start`` along ``word``."""
+    across = word.count("H")
+    return start[0] + across, start[1] + len(word) - across
 
 
-def _require_above(
-    path: LatticePath, form: tuple[int, int, int], strictness: Strictness, where: str = "the line"
-) -> None:
-    """Raise unless every point of the path satisfies a*y - b*x + c >= 0 for
-    the line's form (a, b, c) in mode ``strictness``.  For y = k*x - v with
-    integral v that form is (1, k, v - s), s = 1 strict and 0 weak, so the
-    maps pass it without building the line."""
-    if _first_exit(path, *form) is not None:
-        raise ValidationError(f"input path is not {strictness.value}ly above {where}")
+def _above(step_set: StepSet, form: tuple[int, int, int], message: str):
+    """The per-path check that every point satisfies a*y - b*x + c >= 0 for
+    the form (a, b, c), raising ValidationError(message) otherwise.  For
+    y = k*x - v with integral v that form is (1, k, v - s), s = 1 strict and
+    0 weak, so the maps pass it without building the line."""
+    a, b, c = form
+    rises = _rises(step_set, a, b)
+
+    def check(start: _Point, word: str) -> None:
+        x, y = start
+        if _exit_level(a * y - b * x + c, rises, word) is not None:
+            raise ValidationError(message)
+
+    return check
 
 
 def _translate(
-    path: LatticePath, line: BoundaryLine, name: str, strictness: Strictness,
-    shift: tuple[int, int], *conditions: tuple[bool, str],
-) -> LatticePath:
-    """Check a unit path and an integer-slope line, each (condition, message)
-    pair in turn, then membership; return the path moved by ``shift``."""
-    _require_unit(path)
+    step_set: StepSet, line: BoundaryLine, name: str, strictness: Strictness, shift: _Point,
+    integral: bool = False, floors: tuple[tuple[int, int, str], ...] = (),
+):
+    """The core moving unit paths above an integer-slope line by ``shift``.
+    Family checks: the step set, the line kind and, when ``integral``, the
+    intercept.  Per path: each (axis, least, text) of ``floors`` bounds the
+    start's coordinate on that axis, then membership."""
+    _require_unit(step_set)
     require(line.kind is SlopeKind.INTEGER, f"{name} works above integer-slope lines")
-    for condition, message in conditions:
-        require(condition, message)
-    _require_above(path, line._form(strictness), strictness)
-    (x, y), (dx, dy) = path.start, shift
-    return LatticePath((x + dx, y + dy), path.word, path.step_set)
+    require(not integral or line.r.denominator == 1, f"{name} needs an integral intercept")
+    member = _above(
+        step_set, line._form(strictness), f"input path is not {strictness.value}ly above the line"
+    )
+    dx, dy = shift
+
+    def core(start: _Point, word: str) -> _Key:
+        for axis, least, text in floors:
+            if start[axis] < least:
+                raise ValidationError(f"start {_AXES[axis]} must be >= {text}, got {start[axis]}")
+        member(start, word)
+        return (start[0] + dx, start[1] + dy), word
+
+    return core
+
+
+def _drop_one(step_set: StepSet, line: BoundaryLine):
+    return _translate(step_set, line, "drop_one", Strictness.STRICT, (0, -1), True, ((1, 1, "1"),))
 
 
 def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -103,18 +135,22 @@ def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     integral r.  Image: the same step sequence from (a, b-1), weakly above
     the same line.  Inverse: ``raise_one``.
     """
-    return _translate(
-        path, line, "drop_one", Strictness.STRICT, (0, -1),
-        (line.r.denominator == 1, "drop_one needs an integral intercept"),
-        (path.start[1] >= 1, f"start ordinate must be >= 1, got {path.start[1]}"),
-    )
+    return LatticePath(*_drop_one(path.step_set, line)(path.start, path.word), path.step_set)
+
+
+def _raise_one(step_set: StepSet, line: BoundaryLine):
+    return _translate(step_set, line, "raise_one", Strictness.WEAK, (0, 1), True)
 
 
 def raise_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``drop_one``: lift a weakly-above path by one vertical unit."""
+    return LatticePath(*_raise_one(path.step_set, line)(path.start, path.word), path.step_set)
+
+
+def _lemma_translate(step_set: StepSet, line: BoundaryLine):
     return _translate(
-        path, line, "raise_one", Strictness.WEAK, (0, 1),
-        (line.r.denominator == 1, "raise_one needs an integral intercept"),
+        step_set, line, "lemma_translate", Strictness.WEAK, (-1, -line.k),
+        floors=((0, 1, "1"), (1, line.k, f"k = {line.k}")),
     )
 
 
@@ -126,23 +162,37 @@ def lemma_translate(path: LatticePath, line: BoundaryLine) -> LatticePath:
     step sequence from (a-1, b-k), weakly above the same line.  Inverse:
     ``lemma_translate_back``.
     """
-    return _translate(
-        path, line, "lemma_translate", Strictness.WEAK, (-1, -line.k),
-        (path.start[0] >= 1, f"start abscissa must be >= 1, got {path.start[0]}"),
-        (path.start[1] >= line.k, f"start ordinate must be >= k = {line.k}, got {path.start[1]}"),
-    )
+    return LatticePath(*_lemma_translate(path.step_set, line)(path.start, path.word), path.step_set)
+
+
+def _lemma_translate_back(step_set: StepSet, line: BoundaryLine):
+    return _translate(step_set, line, "lemma_translate_back", Strictness.WEAK, (1, line.k))
 
 
 def lemma_translate_back(path: LatticePath, line: BoundaryLine) -> LatticePath:
     """Inverse of ``lemma_translate``: translate by (+1, +k)."""
-    return _translate(path, line, "lemma_translate_back", Strictness.WEAK, (1, line.k))
+    core = _lemma_translate_back(path.step_set, line)
+    return LatticePath(*core(path.start, path.word), path.step_set)
 
 
-def _integral_kr(path: LatticePath, line: BoundaryLine, kind_message: str) -> int:
-    """Check a unit path and an inverse-slope line with k*r integral; return k*r."""
-    _require_unit(path)
+def _integral_kr(step_set: StepSet, line: BoundaryLine, kind_message: str) -> int:
+    """Check a unit family and an inverse-slope line with k*r integral; return k*r."""
+    _require_unit(step_set)
     require(line.kind is SlopeKind.INVERSE, kind_message)
     return _k_times_r(line.k, line.r)
+
+
+def _reflect_inverse(step_set: StepSet, line: BoundaryLine):
+    kr = _integral_kr(step_set, line, "reflect_inverse works above inverse-slope lines")
+    member = _above(step_set, line._form(Strictness.WEAK), "input path is not weakly above the line")
+    k = line.k
+
+    def core(start: _Point, word: str) -> _Key:
+        member(start, word)
+        m, n = _unit_end(start, word)
+        return (0, k * n + kr - m), word[::-1].translate(_SWAP)
+
+    return core
 
 
 def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -153,15 +203,28 @@ def reflect_inverse(path: LatticePath, line: BoundaryLine) -> LatticePath:
     image runs from (0, k*(n+r) - m) to (n - b, k*(n+r) - a) and is weakly
     above y = k*x.  Inverse: ``reflect_inverse_back``.
     """
-    kr = _integral_kr(path, line, "reflect_inverse works above inverse-slope lines")
-    _require_above(path, line._form(Strictness.WEAK), Strictness.WEAK)
-    m, n = path.end
-    return _recode(path, _SWAP, path.step_set, (0, line.k * n + kr - m))
+    return LatticePath(*_reflect_inverse(path.step_set, line)(path.start, path.word), path.step_set)
 
 
-def reflect_inverse_back(
-    path: LatticePath, line: BoundaryLine, end: tuple[int, int]
-) -> LatticePath:
+def _reflect_inverse_back(step_set: StepSet, line: BoundaryLine, end: _Point):
+    kr = _integral_kr(step_set, line, "reflect_inverse_back works with inverse-slope lines")
+    k, (m, n) = line.k, end
+    image_start = (0, k * n + kr - m)
+    member = _above(step_set, (1, k, 0), "input path is not weakly above y = k*x")
+
+    def core(start: _Point, word: str) -> _Key:
+        if start != image_start:
+            raise ValidationError(
+                f"parameter mismatch: image paths start at {image_start}, got {start}"
+            )
+        member(start, word)
+        end_x, end_y = _unit_end(start, word)
+        return (k * n + kr - end_y, n - end_x), word[::-1].translate(_SWAP)
+
+    return core
+
+
+def reflect_inverse_back(path: LatticePath, line: BoundaryLine, end: _Point) -> LatticePath:
     """Inverse of ``reflect_inverse`` for the source family ending at ``end``.
 
     ``line`` is the source family's inverse-slope boundary and ``end`` its
@@ -169,40 +232,59 @@ def reflect_inverse_back(
     which the input must match.  Returns the unique source path whose image
     is ``path``.
     """
-    kr = _integral_kr(path, line, "reflect_inverse_back works with inverse-slope lines")
-    m, n = end
-    image_start = (0, line.k * n + kr - m)
-    require(
-        path.start == image_start,
-        f"parameter mismatch: image paths start at {image_start}, got {path.start}",
-    )
-    _require_above(path, (1, line.k, 0), Strictness.WEAK, "y = k*x")
-    end_x, end_y = path.end
-    source_start = (line.k * n + kr - end_y, n - end_x)
-    return _recode(path, _SWAP, path.step_set, source_start)
+    core = _reflect_inverse_back(path.step_set, line, end)
+    return LatticePath(*core(path.start, path.word), path.step_set)
 
 
-def _check_avoiding(path: LatticePath, c: int) -> int:
-    """Validate a walk with steps (1,1)/(-p,1) from the origin avoiding x = c.
-
-    Returns the walk's backjump parameter p.
-    """
-    require(path.step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
+def _avoiding(step_set: StepSet, c: int):
+    """The family checks of walks with steps (1,1)/(-p,1) from the origin
+    avoiding x = c, and the per-path check of start and avoidance."""
+    require(step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
     require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
-    require(path.start == (0, 0), f"walk must start at the origin, got {path.start}")
-    at = _first_exit(path, 0, 1, c - 1)  # x <= c - 1
-    if at is not None:
-        raise ValidationError(f"walk touches or crosses x = {c} at abscissa {path.points()[at][0]}")
-    return path.step_set.param
+    rises = _rises(step_set, 0, 1)  # the level c - 1 - x of x <= c - 1
+
+    def check(start: _Point, word: str) -> None:
+        if start != (0, 0):
+            raise ValidationError(f"walk must start at the origin, got {start}")
+        level = _exit_level(c - 1, rises, word)
+        if level is not None:
+            raise ValidationError(f"walk touches or crosses x = {c} at abscissa {c - 1 - level}")
+
+    return check
 
 
-def _check_positive(path: LatticePath, name: str) -> int:
-    """Validate an altitude walk of transform ``name`` and return its rise."""
-    require(path.step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
-    at = _first_exit(path, 1, 0, -1)  # altitude >= 1
-    if at is not None:
-        raise ValidationError(f"walk drops to altitude {path.points()[at][1]} < 1")
-    return path.step_set.param
+def _positive(step_set: StepSet, name: str, origin: _Point | None = None):
+    """The family check of the altitude walks of transform ``name``, and the
+    per-path check that every altitude is >= 1 and, if ``origin`` is given,
+    that the walk starts there."""
+    require(step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
+    rises = _rises(step_set, 1, 0)  # the level altitude - 1
+
+    def check(start: _Point, word: str) -> None:
+        level = _exit_level(start[1] - 1, rises, word)
+        if level is not None:
+            raise ValidationError(f"walk drops to altitude {level + 1} < 1")
+        if origin is not None and start != origin:
+            raise ValidationError(f"walk must start at {origin}, got {start}")
+
+    return check
+
+
+def _relabel(check, image_start: _Point, table: dict, reverse: bool = True):
+    """The core that runs ``check`` on a path, then relabels every letter of
+    its word through the ``str.maketrans`` table, in reverse order when
+    ``reverse`` is set, as a path from ``image_start``."""
+    order = -1 if reverse else 1
+
+    def core(start: _Point, word: str) -> _Key:
+        check(start, word)
+        return image_start, word[::order].translate(table)
+
+    return core
+
+
+def _koroljuk_to_unit(step_set: StepSet, c: int):
+    return _relabel(_avoiding(step_set, c), (0, 0), _KOROLJUK_TO_UNIT)
 
 
 def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
@@ -214,8 +296,31 @@ def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
     above y = p*x - v with v = c + p*n - m (>= 1 for any avoiding walk).
     Inverse: ``unit_to_koroljuk``.
     """
-    _check_avoiding(path, c)
-    return _recode(path, _KOROLJUK_TO_UNIT, StepSet.unit(), (0, 0))
+    return LatticePath(*_koroljuk_to_unit(path.step_set, c)(path.start, path.word), StepSet.unit())
+
+
+def _unit_to_koroljuk(step_set: StepSet, p: int, c: int, intercept: int | None = None):
+    _require_unit(step_set)
+    require(p >= 1, f"need p >= 1, got {p}")
+    require(c >= 1, f"need c >= 1, got {c}")
+    rises = _rises(step_set, 1, p)
+
+    def core(start: _Point, word: str) -> _Key:
+        if start != (0, 0):
+            raise ValidationError(f"path must start at the origin, got {start}")
+        n, m = _unit_end(start, word)
+        v = c + p * n - m
+        if intercept is not None and intercept != v:
+            raise ValidationError(
+                f"parameter mismatch: c + p*n - m = {v}, got intercept {intercept}"
+            )
+        if v < 1:
+            raise ValidationError(f"need c + p*n - m >= 1, got {v}")
+        if _exit_level(v - 1, rises, word) is not None:
+            raise ValidationError(f"input path is not strictly above y = {p}*x - {v}")
+        return (0, 0), word[::-1].translate(_UNIT_TO_KOROLJUK)
+
+    return core
 
 
 def unit_to_koroljuk(
@@ -228,20 +333,12 @@ def unit_to_koroljuk(
     this guards callers that computed v independently.  Image: reverse the
     step order and map V -> U=(1,1), H -> D=(-p,1).
     """
-    _require_unit(path)
-    require(p >= 1, f"need p >= 1, got {p}")
-    require(c >= 1, f"need c >= 1, got {c}")
-    require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
-    n, m = path.end
-    v = c + p * n - m
-    require(
-        intercept is None or intercept == v,
-        f"parameter mismatch: c + p*n - m = {v}, got intercept {intercept}",
-    )
-    require(v >= 1, f"need c + p*n - m >= 1, got {v}")
-    _require_above(path, (1, p, v - 1), Strictness.STRICT,
-                   f"y = {p}*x - {v}")
-    return _recode(path, _UNIT_TO_KOROLJUK, StepSet.koroljuk(p), (0, 0))
+    core = _unit_to_koroljuk(path.step_set, p, c, intercept)
+    return LatticePath(*core(path.start, path.word), StepSet.koroljuk(p))
+
+
+def _bohm_rotate(step_set: StepSet, c: int):
+    return _relabel(_avoiding(step_set, c), (0, c), _ROTATE, reverse=False)
 
 
 def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
@@ -253,15 +350,22 @@ def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
     altitude c, ends at altitude c + p*n - m, and keeps every altitude
     >= 1.  Inverse: ``bohm_unrotate``.
     """
-    p = _check_avoiding(path, c)
-    return _recode(path, _ROTATE, StepSet.bohm(p), (0, c), reverse=False)
+    image = _bohm_rotate(path.step_set, c)(path.start, path.word)
+    return LatticePath(*image, StepSet.bohm(path.step_set.param))
+
+
+def _bohm_unrotate(step_set: StepSet, c: int):
+    return _relabel(_positive(step_set, "bohm_unrotate", (0, c)), (0, 0), _ROTATE, reverse=False)
 
 
 def bohm_unrotate(path: LatticePath, c: int) -> LatticePath:
     """Inverse of ``bohm_rotate``: map each visited point (x, y) to (c - y, x)."""
-    p = _check_positive(path, "bohm_unrotate")
-    require(path.start == (0, c), f"walk must start at (0, {c}), got {path.start}")
-    return _recode(path, _ROTATE, StepSet.koroljuk(p), (0, 0), reverse=False)
+    image = _bohm_unrotate(path.step_set, c)(path.start, path.word)
+    return LatticePath(*image, StepSet.koroljuk(path.step_set.param))
+
+
+def _bohm_to_unit(step_set: StepSet):
+    return _relabel(_positive(step_set, "bohm_to_unit"), (0, 0), _BOHM_TO_UNIT)
 
 
 def bohm_to_unit(path: LatticePath) -> LatticePath:
@@ -273,8 +377,25 @@ def bohm_to_unit(path: LatticePath) -> LatticePath:
     y = rise*x - end_altitude.  Composed after ``bohm_rotate`` this agrees
     with ``koroljuk_to_unit``.
     """
-    _check_positive(path, "bohm_to_unit")
-    return _recode(path, _BOHM_TO_UNIT, StepSet.unit(), (0, 0))
+    return LatticePath(*_bohm_to_unit(path.step_set)(path.start, path.word), StepSet.unit())
+
+
+def _unit_to_bohm(step_set: StepSet, rise: int, end_alt: int):
+    _require_unit(step_set)
+    require(rise >= 1, f"need rise >= 1, got {rise}")
+    require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
+    member = _above(
+        step_set, (1, rise, end_alt - 1), f"input path is not strictly above y = {rise}*x - {end_alt}"
+    )
+
+    def core(start: _Point, word: str) -> _Key:
+        if start != (0, 0):
+            raise ValidationError(f"path must start at the origin, got {start}")
+        member(start, word)
+        ups, downs = _unit_end(start, word)
+        return (0, end_alt - rise * ups + downs), word[::-1].translate(_UNIT_TO_BOHM)
+
+    return core
 
 
 def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
@@ -286,12 +407,5 @@ def unit_to_bohm(path: LatticePath, rise: int, end_alt: int) -> LatticePath:
     end_alt - rise*ups + downs (positive because the path end clears the
     line) and ends at ``end_alt``.
     """
-    _require_unit(path)
-    require(rise >= 1, f"need rise >= 1, got {rise}")
-    require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
-    require(path.start == (0, 0), f"path must start at the origin, got {path.start}")
-    _require_above(path, (1, rise, end_alt - 1), Strictness.STRICT,
-                   f"y = {rise}*x - {end_alt}")
-    ups, downs = path.end
-    start = (0, end_alt - rise * ups + downs)
-    return _recode(path, _UNIT_TO_BOHM, StepSet.bohm(rise), start)
+    core = _unit_to_bohm(path.step_set, rise, end_alt)
+    return LatticePath(*core(path.start, path.word), StepSet.bohm(rise))

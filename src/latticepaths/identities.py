@@ -16,14 +16,10 @@ import random
 from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
+from math import comb, factorial, lcm, prod
 
 from .errors import DEFAULT_SEED, ValidationError, require
-from .exactmath import (
-    Rational,
-    binomial,
-    generalized_binomial,
-    upper_negation,
-)
+from .exactmath import Rational, binomial, upper_negation
 from .formulas import _avoiding, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery, _record_class
 
@@ -89,28 +85,44 @@ class HagenRotheParams:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.n < 0:
             raise ValidationError(f"need n >= 0, got {self.n}")
-        for i in range(self.n + 1):
-            if self.gamma + self.beta * i == 0:
-                raise ValidationError(
-                    f"gamma + beta*i vanishes at i={i}; the leading factor would divide by zero"
-                )
+        # gamma + beta*i vanishes only at i = -gamma/beta, or at i = 0 when beta = gamma = 0.
+        beta, gamma = self.beta, self.gamma
+        i, rest = (
+            divmod(-gamma.numerator * beta.denominator, gamma.denominator * beta.numerator)
+            if beta else (0, gamma)
+        )
+        if rest == 0 and 0 <= i <= self.n:
+            raise ValidationError(
+                f"gamma + beta*i vanishes at i={i}; the leading factor would divide by zero"
+            )
 
 
 def hagen_rothe(params: HagenRotheParams) -> tuple[Rational, Rational]:
     """Both sides of the convolution identity
     sum_i gamma/(gamma+beta*i) * C(gamma+beta*i, i) * C(alpha+beta*(n-i), n-i)
-    = C(alpha+gamma+beta*n, n), over generalized binomials."""
-    alpha, beta, gamma, n = params.alpha, params.beta, params.gamma, params.n
-    lhs = Fraction(0)
-    for i in range(n + 1):
-        head = gamma + beta * i
-        lhs += (
-            (gamma / head)
-            * generalized_binomial(head, i)
-            * generalized_binomial(alpha + beta * (n - i), n - i)
-        )
-    rhs = generalized_binomial(alpha + gamma + beta * n, n)
-    return (lhs, rhs)
+    = C(alpha+gamma+beta*n, n), over generalized binomials.
+
+    With D the common denominator of alpha, beta and gamma, and A, B, G
+    their numerators over it, C(P/D, k) is F(P, k)/(k! * D^k) for the
+    falling factorial F(P, k) = P*(P-D)*...*(P-(k-1)*D).  So both sides
+    times n! * D^n are integers: the left is the sum over i of
+    C(n, i) * G*F(G+B*i, i)/(G+B*i) * F(A+B*(n-i), n-i), whose middle factor
+    is an exact division (F(G+B*i, i) starts with G+B*i when i >= 1), and
+    the right is F(A+G+B*n, n).
+    """
+    n = params.n
+    d = lcm(params.alpha.denominator, params.beta.denominator, params.gamma.denominator)
+    a, b, g = (x.numerator * (d // x.denominator) for x in (params.alpha, params.beta, params.gamma))
+
+    def falling(top: int, k: int) -> int:
+        return prod(range(top, top - k * d, -d))
+
+    lhs = sum(
+        comb(n, i) * (g * falling(g + b * i, i) // (g + b * i)) * falling(a + b * (n - i), n - i)
+        for i in range(n + 1)
+    )
+    scale = factorial(n) * d**n
+    return Fraction(lhs, scale), Fraction(falling(a + g + b * n, n), scale)
 
 
 def hagen_rothe_check(params: HagenRotheParams) -> CheckReport:

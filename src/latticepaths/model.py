@@ -12,9 +12,10 @@ Conventions used throughout the package:
   A*y - B*x + C >= s, with s = 0 for WEAK and 1 for STRICT.  Two private
   primitives serve every region bounded by such a form a*y - b*x + c >= 0:
   ``_floors`` gives the least y at each x (``min_ordinate_above``), and
-  ``_first_exit`` runs the form along a path's word, each letter adding a
-  constant (``path_above``).  ``above`` keeps the rational boundary value as
-  the reference they are tested against.
+  ``_exit_level`` runs the form along a word, each letter adding the
+  constant that ``_rises`` gives it (``path_above``, and the checks of
+  every map in ``bijections``).  ``above`` keeps the rational boundary
+  value as the reference they are tested against.
 * A PathQuery asks for monotone unit paths (steps east (1,0) and north
   (0,1)) from (a, b) to (m, n) whose every visited point satisfies the
   constraint.  Start ordinates below zero are legal; they arise from
@@ -454,7 +455,13 @@ class LatticePath:
 
     @property
     def end(self) -> tuple[int, int]:
-        return self.points()[-1]
+        """The last point: the start moved by each step vector times its letter's count."""
+        x, y = self.start
+        for letter, (dx, dy) in self.step_set._vectors.items():
+            times = self.word.count(letter)
+            x += times * dx
+            y += times * dy
+        return (x, y)
 
     def encode(self) -> str:
         return self.word
@@ -464,21 +471,25 @@ class LatticePath:
         return cls(start, text, step_set)
 
 
-def _first_exit(path: LatticePath, a: int, b: int, c: int) -> int | None:
-    """Index in ``path.points()`` of the first point with a*y - b*x + c < 0,
-    or None: one running sum of the form, a constant increment per letter."""
-    x, y = path.start
-    level = a * y - b * x + c
+def _rises(step_set: StepSet, a: int, b: int) -> dict[str, int]:
+    """What each letter of ``step_set`` adds to the form a*y - b*x."""
+    return {letter: a * dy - b * dx for letter, (dx, dy) in step_set._vectors.items()}
+
+
+def _exit_level(level: int, rises: dict[str, int], word: str) -> int | None:
+    """The first negative value of a running form that starts at ``level``
+    and adds ``rises[letter]`` for each letter of ``word``, or None."""
     if level < 0:
-        return 0
-    rise = {letter: a * dy - b * dx for letter, (dx, dy) in path.step_set._vectors.items()}
-    for index, letter in enumerate(path.word, 1):
-        level += rise[letter]
+        return level
+    for letter in word:
+        level += rises[letter]
         if level < 0:
-            return index
+            return level
     return None
 
 
 def path_above(path: LatticePath, line: BoundaryLine, strictness: Strictness) -> bool:
     """Whether every visited point lies above the line."""
-    return _first_exit(path, *line._form(strictness)) is None
+    a, b, c = line._form(strictness)
+    x, y = path.start
+    return _exit_level(a * y - b * x + c, _rises(path.step_set, a, b), path.word) is None

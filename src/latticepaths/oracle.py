@@ -11,8 +11,11 @@ the start, and the line is the query's boundary.  The walk families put the
 counts of steps used of each kind on the two axes, and the line is the one
 ``model`` derives for them.  Every lo is ``model._floors`` of an integer
 linear form (exact ceiling arithmetic, no floating point).  One kernel
-tabulates a map and one walker lists its paths, each as the word of its
-step letters.
+tabulates a map and one walker yields its paths' words, the strings of
+their step letters, one at a time; ``enumerate_paths`` and
+``enumerate_stepset`` wrap each word as a ``LatticePath``, and the private
+readers ``_unit_words`` and ``_stepset_words`` hand the bare words to the
+bijection sweeps.
 
 Counts tabulate, for each cell, the paths that end there, so their cost is
 the number of cells, and tables of more than MAX_DP_CELLS cells are
@@ -68,42 +71,33 @@ def _tabulate(width: int, height: int, lo: Callable[[int], int]) -> int:
     return col[-1]
 
 
-def _walk(
-    width: int,
-    height: int,
-    lo: Callable[[int], int],
-    letters: str,
-    start: tuple[int, int],
-    step_set: StepSet,
-) -> list[LatticePath]:
-    """The paths of the threshold map as LatticePath values from start, in
-    lexicographic order of their step strings.  letters[0] names the step
-    that moves to the next column, letters[1] the one to the next row."""
+def _walk(width: int, height: int, lo: Callable[[int], int], letters: str) -> Iterator[str]:
+    """The words of the threshold map's paths, one at a time, in lexicographic
+    order.  letters[0] names the step that moves to the next column,
+    letters[1] the one to the next row.  A depth-first stack holds each open
+    branch as (column, row, word so far): at most one per step, plus one."""
     if width < 1 or height < 1:
-        return []
+        return
     total = width + height - 2
     if total > MAX_ENUMERATION_STEPS:
         raise ResourceLimitError(
             f"enumeration of {total} steps exceeds the {MAX_ENUMERATION_STEPS}-step budget"
         )
     thresholds = [lo(i) for i in range(width)] + [height]  # the column past the end is closed
-    moves = sorted([(letters[0], 1, 0), (letters[1], 0, 1)])  # letter order is output order
-    out: list[LatticePath] = []
-    word: list[str] = []
-
-    def rec(i: int, j: int) -> None:
-        if i == width - 1 and j == height - 1:
-            out.append(LatticePath(start, "".join(word), step_set))
-            return
+    if thresholds[0] > 0:
+        return
+    # Pushed in reverse letter order, so the smaller letter's branch pops first.
+    moves = sorted([(letters[0], 1, 0), (letters[1], 0, 1)], reverse=True)
+    last_i, last_j = width - 1, height - 1
+    stack = [(0, 0, "")]
+    while stack:
+        i, j, word = stack.pop()
+        if i == last_i and j == last_j:
+            yield word
+            continue
         for letter, di, dj in moves:
             if thresholds[i + di] <= j + dj < height:
-                word.append(letter)
-                rec(i + di, j + dj)
-                word.pop()
-
-    if thresholds[0] <= 0:
-        rec(0, 0)
-    return out
+                stack.append((i + di, j + dj, word + letter))
 
 
 def _unit_map(q: PathQuery) -> tuple[int, int, Callable[[int], int]]:
@@ -128,10 +122,16 @@ def _dp_table(q: PathQuery) -> list[list[int]]:
     return [col[:] for col in _columns(*_unit_map(q))]
 
 
+def _unit_words(q: PathQuery) -> Iterator[str]:
+    """The words of ``enumerate_paths(q)``, in its order."""
+    return _walk(*_unit_map(q), "HV")
+
+
 def enumerate_paths(q: PathQuery) -> list[LatticePath]:
     """All valid paths of q as unit-step LatticePath values, in lexicographic
     order of their H/V step strings.  len(result) == dp_count(q)."""
-    return _walk(*_unit_map(q), "HV", (q.a, q.b), StepSet.unit())
+    start, unit = (q.a, q.b), StepSet.unit()
+    return [LatticePath(start, word, unit) for word in _unit_words(q)]
 
 
 KoroljukSplit = namedtuple("KoroljukSplit", "avoiding intersecting")
@@ -181,7 +181,13 @@ def _census_table(q: KoroljukQuery | BohmQuery) -> list[list[int]]:
     return [col[:] for col in _columns(width, height, lo)]
 
 
+def _stepset_words(q: KoroljukQuery | BohmQuery) -> Iterator[str]:
+    """The words of ``enumerate_stepset(q)``, in its order."""
+    return _walk(*_stepset_map(q, "_stepset_words")[:4])
+
+
 def enumerate_stepset(q: KoroljukQuery | BohmQuery) -> list[LatticePath]:
     """The family members themselves (Koroljuk: avoiding walks only), in
     lexicographic order of their U/D step strings ('D' < 'U')."""
-    return _walk(*_stepset_map(q, "enumerate_stepset"))
+    *walk_map, start, step_set = _stepset_map(q, "enumerate_stepset")
+    return [LatticePath(start, word, step_set) for word in _walk(*walk_map)]

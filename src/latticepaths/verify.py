@@ -25,14 +25,19 @@ summaries of the sweeps they run:
   ``cross_formula_sweep``.
 * ``run_bijections``: image membership, injectivity, cardinality, and round
   trips for every path transform on exhaustively enumerated small instances;
-  a map that rejects its input counts as a failed check.
+  a map that rejects its input counts as a failed check.  The suites never
+  build a ``LatticePath``: they take each family's words from the oracle's
+  walker (``oracle._unit_words``, ``oracle._stepset_words``), key each path
+  as (start, word), and call the word-level cores that the public maps wrap
+  (``bijections._drop_one`` for ``drop_one``, and so on), each built once
+  per line or per case.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, partial
 from itertools import groupby, product
@@ -40,18 +45,19 @@ from operator import attrgetter, itemgetter
 
 from .formulas import _evaluate, bohm, count, count_strict, koroljuk_literal, koroljuk_reduced
 from .bijections import (
-    bohm_rotate,
-    bohm_to_unit,
-    bohm_unrotate,
-    drop_one,
-    koroljuk_to_unit,
-    lemma_translate,
-    lemma_translate_back,
-    raise_one,
-    reflect_inverse,
-    reflect_inverse_back,
-    unit_to_bohm,
-    unit_to_koroljuk,
+    _Key,
+    _bohm_rotate,
+    _bohm_to_unit,
+    _bohm_unrotate,
+    _drop_one,
+    _koroljuk_to_unit,
+    _lemma_translate,
+    _lemma_translate_back,
+    _raise_one,
+    _reflect_inverse,
+    _reflect_inverse_back,
+    _unit_to_bohm,
+    _unit_to_koroljuk,
 )
 from .errors import ValidationError
 from .identities import (
@@ -70,10 +76,10 @@ from .model import (
     BohmQuery,
     BoundaryLine,
     KoroljukQuery,
-    LatticePath,
     NiederhausenQuery,
     PathQuery,
     SlopeKind,
+    StepSet,
     Strictness,
     _floors,
     _record_class,
@@ -85,10 +91,10 @@ from .model import (
 from .oracle import (
     _census_table,
     _dp_table,
+    _stepset_words,
+    _unit_words,
     count_stepset,
     dp_count,
-    enumerate_paths,
-    enumerate_stepset,
 )
 
 
@@ -409,30 +415,34 @@ def run_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary
 # ---------------------------------------------------------------------------
 # Bijection suites
 
+_UNIT = StepSet.unit()
 
-def _key(path: LatticePath) -> tuple[tuple[int, int], str]:
-    return (path.start, path.word)
+
+def _keys(start: tuple[int, int], words: Iterable[str]) -> list[_Key]:
+    return [(start, word) for word in words]
 
 
 def _check_bijection(
     summary: SweepSummary,
     label: str,
-    source: Sequence[LatticePath],
-    target: Sequence[LatticePath],
-    forward: Callable[[LatticePath], LatticePath],
-    backward: Callable[[LatticePath], LatticePath],
+    source: Sequence[_Key],
+    target: Sequence[_Key],
+    forward: Callable[..., _Key],
+    backward: Callable[..., _Key],
 ) -> None:
-    """Record the four bijection properties plus the reverse round trip.  A
-    map that rejects its input ends the case with one failed check."""
-    target_keys = {_key(t) for t in target}
+    """Record the four bijection properties plus the reverse round trip of
+    the cores ``forward`` and ``backward`` on the (start, word) keys of the
+    two families.  A core that rejects its input ends the case with one
+    failed check."""
+    target_keys = set(target)
     try:
-        images = [forward(p) for p in source]
+        images = [forward(*key) for key in source]
         summary.record(
-            all(_key(image) in target_keys for image in images),
+            target_keys.issuperset(images),
             lambda: f"{label}: some image leaves the target family",
         )
         summary.record(
-            len({_key(image) for image in images}) == len(images),
+            len(set(images)) == len(images),
             lambda: f"{label}: transform is not injective",
         )
         summary.record(
@@ -440,11 +450,11 @@ def _check_bijection(
             lambda: f"{label}: |source| {len(source)} != |target| {len(target)}",
         )
         summary.record(
-            all(backward(image) == original for image, original in zip(images, source)),
+            all(backward(*image) == key for image, key in zip(images, source)),
             lambda: f"{label}: inverse does not undo the transform",
         )
         summary.record(
-            all(forward(backward(t)) == t for t in target),
+            all(forward(*backward(*key)) == key for key in target),
             lambda: f"{label}: transform does not undo the inverse",
         )
     except ValidationError as exc:
@@ -452,51 +462,45 @@ def _check_bijection(
 
 
 def _bijection_cases(max_steps: int) -> Iterator[tuple]:
-    """(label, source paths, target paths, forward, backward) of the unit-path
-    transforms and of the altitude-walk-to-unit map, on the instances of
-    their grids with at most ``max_steps`` steps."""
+    """(label, source keys, target keys, forward core, backward core) of the
+    unit-path transforms and of the altitude-walk-to-unit map, on the
+    instances of their grids with at most ``max_steps`` steps; each core is
+    built once per line or per case."""
 
     def sources(line: BoundaryLine, strictness: Strictness, a_range: range, b_range: range,
                 width: int, height: int) -> Iterator[tuple]:
-        """(a, b, m, n, paths) of each boundary-valid query within the step budget."""
+        """(a, b, m, n, keys) of each boundary-valid query within the step budget."""
         columns = [(a, m) for a in a_range for m in range(a, a + width)]
         rows = [(b, n) for b in b_range for n in range(b, b + height)]
         for a, b, m, n in _above_floors(line, strictness, columns, rows):
             if (m - a) + (n - b) <= max_steps:
-                yield a, b, m, n, enumerate_paths(PathQuery(a, b, m, n, line, strictness))
+                yield a, b, m, n, _keys((a, b), _unit_words(PathQuery(a, b, m, n, line, strictness)))
+
+    def weak(a: int, b: int, m: int, n: int, line: BoundaryLine) -> list[_Key]:
+        return _keys((a, b), _unit_words(PathQuery(a, b, m, n, line, Strictness.WEAK)))
 
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)
+        forward, backward = _drop_one(_UNIT, line), _raise_one(_UNIT, line)
         for a, b, m, n, source in sources(line, Strictness.STRICT, range(3), range(1, 5), 4, 5):
-            yield (
-                f"drop-one k={k} r={r} ({a},{b})->({m},{n})",
-                source,
-                enumerate_paths(PathQuery(a, b - 1, m, n - 1, line, Strictness.WEAK)),
-                partial(drop_one, line=line),
-                partial(raise_one, line=line),
-            )
+            target = weak(a, b - 1, m, n - 1, line)
+            yield f"drop-one k={k} r={r} ({a},{b})->({m},{n})", source, target, forward, backward
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)
+        forward, backward = _lemma_translate(_UNIT, line), _lemma_translate_back(_UNIT, line)
         for a, b, m, n, source in sources(line, Strictness.WEAK, range(1, 4), range(k, k + 4), 4, 5):
-            yield (
-                f"lemma-translate k={k} r={r} ({a},{b})->({m},{n})",
-                source,
-                enumerate_paths(PathQuery(a - 1, b - k, m - 1, n - k, line, Strictness.WEAK)),
-                partial(lemma_translate, line=line),
-                partial(lemma_translate_back, line=line),
-            )
+            target = weak(a - 1, b - k, m - 1, n - k, line)
+            yield f"lemma-translate k={k} r={r} ({a},{b})->({m},{n})", source, target, forward, backward
     for k, kr in product((1, 2, 3), range(0, 4)):
         line = inverse_slope(k, Fraction(kr, k))
-        target_line = integer_slope(k, 0)
+        forward = _reflect_inverse(_UNIT, line)
         for a, b, m, n, source in sources(line, Strictness.WEAK, range(3), range(3), 3, 3):
             yield (
                 f"reflect-inverse k={k} k*r={kr} ({a},{b})->({m},{n})",
                 source,
-                enumerate_paths(PathQuery(
-                    0, k * n + kr - m, n - b, k * n + kr - a, target_line, Strictness.WEAK
-                )),
-                partial(reflect_inverse, line=line),
-                partial(reflect_inverse_back, line=line, end=(m, n)),
+                weak(0, k * n + kr - m, n - b, k * n + kr - a, integer_slope(k, 0)),
+                forward,
+                _reflect_inverse_back(_UNIT, line, (m, n)),
             )
     for q in _bohm_grid():
         if q.ups + q.down_steps > max_steps:
@@ -504,10 +508,12 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         target_line = integer_slope(q.rise, q.end_alt)
         yield (
             f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
-            enumerate_stepset(q),
-            enumerate_paths(PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)),
-            bohm_to_unit,
-            partial(unit_to_bohm, rise=q.rise, end_alt=q.end_alt),
+            _keys((0, q.start_alt), _stepset_words(q)),
+            _keys((0, 0), _unit_words(
+                PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)
+            )),
+            _bohm_to_unit(StepSet.bohm(q.rise)),
+            _unit_to_bohm(_UNIT, q.rise, q.end_alt),
         )
 
 
@@ -522,10 +528,13 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
             continue
         case = f"p={p} c={c} m={m} n={n}"
         walk_q = KoroljukQuery(p, c, m, n)
-        walks = enumerate_stepset(walk_q)
+        walks = _keys((0, 0), _stepset_words(walk_q))
+        walk_steps, altitude_steps = StepSet.koroljuk(p), StepSet.bohm(p)
+        to_unit, rotate = _koroljuk_to_unit(walk_steps, c), _bohm_rotate(walk_steps, c)
         v = c + p * n - m
         try:
-            same = all(bohm_to_unit(bohm_rotate(w, c)) == koroljuk_to_unit(w, c) for w in walks)
+            rotated_to_unit = _bohm_to_unit(altitude_steps)
+            same = all(rotated_to_unit(*rotate(*w)) == to_unit(*w) for w in walks)
         except ValidationError as exc:
             summary.record(False, f"composite route {case}: a map rejected its input: {exc}")
         else:
@@ -543,17 +552,17 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
                 summary,
                 f"koroljuk-to-unit {case}",
                 walks,
-                enumerate_paths(unit_q),
-                partial(koroljuk_to_unit, c=c),
-                partial(unit_to_koroljuk, p=p, c=c),
+                _keys((0, 0), _unit_words(unit_q)),
+                to_unit,
+                _unit_to_koroljuk(_UNIT, p, c),
             )
             _check_bijection(
                 summary,
                 f"bohm-rotate {case}",
                 walks,
-                enumerate_stepset(BohmQuery(p, c, v, n)),
-                partial(bohm_rotate, c=c),
-                partial(bohm_unrotate, c=c),
+                _keys((0, c), _stepset_words(BohmQuery(p, c, v, n))),
+                rotate,
+                _bohm_unrotate(altitude_steps, c),
             )
         else:
             summary.record(

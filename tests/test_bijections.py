@@ -36,6 +36,7 @@ from latticepaths import (
     unit_to_koroljuk,
     verify,
 )
+from latticepaths import bijections
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -382,11 +383,48 @@ def test_every_map_keeps_its_images_over_the_small_sweep(monkeypatch):
     digest = hashlib.sha256()
 
     def record(summary, label, source, target, forward, backward):
-        for kind, paths, transform in (("image", source, forward), ("inverse", target, backward)):
-            for path in paths:
-                image = transform(path)
-                digest.update(f"{label}|{kind}|{image.start}|{image.encode()}\n".encode())
+        for kind, keys, core in (("image", source, forward), ("inverse", target, backward)):
+            for key in keys:
+                start, word = core(*key)
+                digest.update(f"{label}|{kind}|{start}|{word}\n".encode())
 
     monkeypatch.setattr(verify, "_check_bijection", record)
     verify.run_bijections(4)
     assert digest.hexdigest() == "b0344df2b9b1ccbd06a148a65112b43760adf630e02f6885bd34729be4f03721"
+
+
+_FACTORIES = [
+    "_drop_one", "_raise_one", "_lemma_translate", "_lemma_translate_back", "_reflect_inverse",
+    "_reflect_inverse_back", "_koroljuk_to_unit", "_unit_to_koroljuk", "_bohm_rotate",
+    "_bohm_unrotate", "_bohm_to_unit", "_unit_to_bohm",
+]
+
+
+def test_every_public_map_returns_its_cores_image_over_the_small_sweep(monkeypatch):
+    # The sweeps call the word-level cores; each public map must give the same
+    # (start, word) on a path of the family's own step set.  A factory takes the
+    # public map's parameters with the step set in place of the path.
+    compared = dict.fromkeys(_FACTORIES, 0)
+
+    def spied(name):
+        factory, public = getattr(verify, name), getattr(bijections, name[1:])
+
+        def build(step_set, *params):
+            core = factory(step_set, *params)
+
+            def checked(start, word):
+                image = core(start, word)
+                path = public(LatticePath(start, word, step_set), *params)
+                assert (path.start, path.word) == image, (name, start, word)
+                compared[name] += 1
+                return image
+
+            return checked
+
+        return build
+
+    for name in _FACTORIES:
+        monkeypatch.setattr(verify, name, spied(name))
+    summary = verify.run_bijections(4)
+    assert (summary.failures, summary.first_failure) == (0, None)
+    assert all(compared.values()), compared

@@ -82,6 +82,23 @@ def test_count_strict_rejects_start_on_or_below_line():
         count_strict(1, 0, 0, 0, 2, 3)
 
 
+# With r != 0 and b != 0 each sign of a start or end check matters: flipping
+# one lets a start or end on the line through, so the message must still be raised.
+@pytest.mark.parametrize("evaluator, args, message", [
+    (count_strict, (1, 1, 2, 1, 3, 5), "start not strictly above the line: b+r-k*a = 0"),
+    (count_strict, (1, -1, 1, 2, 3, 5), "start not strictly above the line: b+r-k*a = 0"),
+    (count_strict_inv, (1, 1, 2, 1, 3, 5), "start not strictly above the line: k*b+k*r-a = 0"),
+    (count_strict_inv, (1, -1, 1, 2, 3, 5), "start not strictly above the line: k*b+k*r-a = 0"),
+    (count_strict_inv, (1, 1, 0, 1, 4, 3), "end not strictly above the line: k*n+k*r-m = 0"),
+    (count_strict_inv, (1, -1, 0, 2, 2, 3), "end not strictly above the line: k*n+k*r-m = 0"),
+], ids=["strict-start-r>0", "strict-start-r<0", "strict_inv-start-r>0", "strict_inv-start-r<0",
+        "strict_inv-end-r>0", "strict_inv-end-r<0"])
+def test_strict_evaluators_reject_an_endpoint_on_the_line(evaluator, args, message):
+    with pytest.raises(ValidationError) as excinfo:
+        evaluator(*args)
+    assert str(excinfo.value) == message
+
+
 def test_count_weak_inv_examples():
     assert count_weak_inv(2, 0, 0, 0, 2, 1) == 1
     assert count_weak_inv(2, 1, 0, 0, 2, 1) == 3

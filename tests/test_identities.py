@@ -14,6 +14,7 @@ from latticepaths import (
     NiederhausenQuery,
     ValidationError,
     complement_check,
+    generalized_binomial,
     hagen_rothe,
     hagen_rothe_check,
     niederhausen_forms_check,
@@ -33,6 +34,56 @@ def test_hagen_rothe_examples():
 def test_hagen_rothe_params_reject_vanishing_denominator():
     with pytest.raises(ValidationError):
         HagenRotheParams(1, -1, 2, 3)
+
+
+@pytest.mark.parametrize("beta, gamma, n, i", [
+    (0, 0, 0, 0),  # beta = gamma = 0: the factor vanishes at every i, reported at i = 0
+    (3, 0, 2, 0),  # gamma = 0: the root -gamma/beta is 0
+    (-1, 2, 3, 2),
+    (Fraction(1, 2), Fraction(-3, 2), 3, 3),  # the root is the last index
+    (Fraction(-2, 3), Fraction(4, 3), 5, 2),
+])
+def test_hagen_rothe_params_report_where_the_leading_factor_vanishes(beta, gamma, n, i):
+    with pytest.raises(ValidationError) as excinfo:
+        HagenRotheParams(1, beta, gamma, n)
+    assert str(excinfo.value) == (
+        f"gamma + beta*i vanishes at i={i}; the leading factor would divide by zero"
+    )
+
+
+@pytest.mark.parametrize("beta, gamma, n", [
+    (0, Fraction(1, 2), 4),  # beta = 0, gamma != 0: no root
+    (-1, 2, 1),  # the root 2 lies past n
+    (1, 2, 5),  # the root -2 lies below 0
+    (2, -3, 6),  # the root 3/2 is not an integer
+    (Fraction(2, 3), Fraction(-1, 2), 4),  # the root 3/4 is not an integer
+])
+def test_hagen_rothe_params_accept_a_factor_without_a_root_in_range(beta, gamma, n):
+    params = HagenRotheParams(1, beta, gamma, n)
+    assert all(params.gamma + params.beta * i != 0 for i in range(n + 1))
+
+
+def _fraction_hagen_rothe(params):
+    """Both sides of the identity summed in Fractions over generalized binomials."""
+    alpha, beta, gamma, n = params.alpha, params.beta, params.gamma, params.n
+    lhs = Fraction(0)
+    for i in range(n + 1):
+        head = gamma + beta * i
+        lhs += (
+            (gamma / head)
+            * generalized_binomial(head, i)
+            * generalized_binomial(alpha + beta * (n - i), n - i)
+        )
+    return lhs, generalized_binomial(alpha + gamma + beta * n, n)
+
+
+def test_hagen_rothe_equals_the_fraction_sum_on_seeded_draws():
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(1200):
+        params = random_hagen_rothe(rng)
+        lhs, rhs = hagen_rothe(params)
+        assert (lhs, rhs) == _fraction_hagen_rothe(params), params
+        assert type(lhs) is type(rhs) is Fraction
 
 
 @given(

@@ -255,6 +255,16 @@ def test_path_points_and_end():
     assert path.end == (1, 2)
 
 
+@given(st.sampled_from([StepSet.unit(), StepSet.koroljuk(1), StepSet.koroljuk(3), StepSet.bohm(2)]),
+       st.lists(st.booleans(), max_size=10), st.integers(-3, 3), st.integers(-3, 3))
+@example(StepSet.koroljuk(2), [False, True, True], 0, 0)  # a back-step (-2, 1) first
+@example(StepSet.unit(), [], 2, -1)  # the empty word ends at its start
+def test_path_end_is_the_last_point(step_set, picks, x, y):
+    first, second = sorted(step_set.letters())
+    path = LatticePath((x, y), "".join(second if pick else first for pick in picks), step_set)
+    assert path.end == path.points()[-1]
+
+
 def test_path_contract_holds_across_its_constructions():
     unit = LatticePath((1, 2), ((1, 0), (0, 1), (0, 1)), StepSet.unit())
     assert repr(unit) == (

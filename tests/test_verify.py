@@ -9,12 +9,9 @@ import latticepaths.identities as identities_module
 import latticepaths.verify as verify_module
 from latticepaths import (
     BoundaryLine,
-    LatticePath,
     PathQuery,
     SlopeKind,
-    StepSet,
     Strictness,
-    bohm_rotate,
     complement_sweep,
     cross_formula_sweep,
     formula_oracle_sweep,
@@ -114,31 +111,33 @@ def test_recurrence_shift_sweep_reports_a_wrong_weak_count(monkeypatch):
     _assert_reports_failures(recurrence_shift_sweep(1, 3))
 
 
-def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
-    def lifted(path, line):
-        # Moves the start up instead of down: the image leaves the target family.
-        return LatticePath((path.start[0], path.start[1] + 1), path.steps, path.step_set)
+# The bijection sweeps call each map's word-level core, built by the private
+# factory of its public map; the tests below inject a wrong core there.
 
-    monkeypatch.setattr(verify_module, "drop_one", lifted)
+
+def _lifted(start, word):
+    # Moves the start up instead of down.
+    return (start[0], start[1] + 1), word
+
+
+def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
+    # The image leaves the target family.
+    monkeypatch.setattr(verify_module, "_drop_one", lambda step_set, line: _lifted)
     summary = run_bijections(2)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("drop-one")
 
 
 @pytest.mark.parametrize("name, wrong_inverse, label", [
-    # Moves the start up instead of down: undoing it leaves the source family.
-    ("lemma_translate_back",
-     lambda path, line: LatticePath(
-         (path.start[0], path.start[1] + 1), path.steps, path.step_set),
-     "lemma-translate"),
+    # Undoing the translation leaves the source family.
+    ("_lemma_translate_back", lambda step_set, line: _lifted, "lemma-translate"),
     # Keeps the path as it is instead of reversing and swapping its steps.
-    ("reflect_inverse_back", lambda path, line, end: path, "reflect-inverse"),
+    ("_reflect_inverse_back", lambda step_set, line, end: lambda start, word: (start, word),
+     "reflect-inverse"),
     # Forgets the steps: every unit path goes back to the empty walk.
-    ("unit_to_koroljuk",
-     lambda path, p, c: LatticePath((0, 0), (), StepSet.koroljuk(p)),
+    ("_unit_to_koroljuk", lambda step_set, p, c: lambda start, word: ((0, 0), ""),
      "koroljuk-to-unit"),
-    ("unit_to_bohm",
-     lambda path, rise, end_alt: LatticePath((0, end_alt), (), StepSet.bohm(rise)),
+    ("_unit_to_bohm", lambda step_set, rise, end_alt: lambda start, word: ((0, end_alt), ""),
      "bohm-to-unit"),
 ], ids=["lemma-translate", "reflect-inverse", "koroljuk-to-unit", "bohm-to-unit"])
 def test_run_bijections_reports_a_wrong_inverse(monkeypatch, name, wrong_inverse, label):
@@ -149,12 +148,19 @@ def test_run_bijections_reports_a_wrong_inverse(monkeypatch, name, wrong_inverse
 
 
 def test_run_bijections_reports_a_rotation_the_composite_route_rejects(monkeypatch, capsys):
-    def lowered(path, c):
-        # Starts the altitude walk one unit low, so bohm_to_unit rejects some images.
-        image = bohm_rotate(path, c)
-        return LatticePath((image.start[0], image.start[1] - 1), image.steps, image.step_set)
+    rotate = verify_module._bohm_rotate
 
-    monkeypatch.setattr(verify_module, "bohm_rotate", lowered)
+    def lowered(step_set, c):
+        # Starts the altitude walk one unit low, so bohm_to_unit rejects some images.
+        core = rotate(step_set, c)
+
+        def wrong(start, word):
+            (x, y), image = core(start, word)
+            return (x, y - 1), image
+
+        return wrong
+
+    monkeypatch.setattr(verify_module, "_bohm_rotate", lowered)
     summary = run_bijections(1)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("composite route p=")
