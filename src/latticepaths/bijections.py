@@ -13,11 +13,13 @@ path.word), image step set)``, so the sweeps in ``verify``, which call the
 cores on the oracle's words, and the public maps share every line of each
 map's arithmetic.
 
-Membership is decided in integers by ``model._exit_level``, one running sum
-of a linear form along the word: the line's form, as in ``path_above``
-(written out as (1, k, v - s) for an integer-slope target line, which is
-then never built), and in the walk checks the form of x <= c - 1 or of
-altitude >= 1, so a walk family is a line region too.  The bijection claims
+Membership is decided in integers by one check, ``_above``, a running sum
+of a linear form along the word (``model._exit_level``): the line's form,
+as in ``path_above`` (written out as (1, k, v - s) for an integer-slope
+target line, which is then never built), and in the walk checks the form
+(0, 1, c - 1) of x <= c - 1 or (1, 0, -1) of altitude >= 1, so a walk
+family is a line region too.  ``unit_to_koroljuk`` alone runs its own
+level, as its form depends on the path's end.  The bijection claims
 (image lands in the target family, injectivity, matching cardinalities,
 round trips) are enforced by the oracle-backed test sweeps rather than
 re-checked inside each call.
@@ -82,18 +84,20 @@ def _unit_end(start: _Point, word: str) -> _Point:
     return start[0] + across, start[1] + len(word) - across
 
 
-def _above(step_set: StepSet, form: tuple[int, int, int], message: str):
+def _above(step_set: StepSet, form: tuple[int, int, int], message):
     """The per-path check that every point satisfies a*y - b*x + c >= 0 for
-    the form (a, b, c), raising ValidationError(message) otherwise.  For
-    y = k*x - v with integral v that form is (1, k, v - s), s = 1 strict and
-    0 weak, so the maps pass it without building the line."""
+    the form (a, b, c), raising ValidationError(message), or message(level)
+    of the first negative level if ``message`` is a function.  For y = k*x - v
+    with integral v that form is (1, k, v - s), s = 1 strict and 0 weak, so
+    the maps pass it without building the line."""
     a, b, c = form
     rises = _rises(step_set, a, b)
 
     def check(start: _Point, word: str) -> None:
         x, y = start
-        if _exit_level(a * y - b * x + c, rises, word) is not None:
-            raise ValidationError(message)
+        level = _exit_level(a * y - b * x + c, rises, word)
+        if level is not None:
+            raise ValidationError(message(level) if callable(message) else message)
 
     return check
 
@@ -237,46 +241,32 @@ def reflect_inverse_back(path: LatticePath, line: BoundaryLine, end: _Point) -> 
 
 
 def _avoiding(step_set: StepSet, c: int):
-    """The family checks of walks with steps (1,1)/(-p,1) from the origin
-    avoiding x = c, and the per-path check of start and avoidance."""
+    """The family checks of walks with steps (1,1)/(-p,1) avoiding x = c, and
+    the per-path check x <= c - 1, the form (0, 1, c - 1)."""
     require(step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
     require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
-    rises = _rises(step_set, 0, 1)  # the level c - 1 - x of x <= c - 1
-
-    def check(start: _Point, word: str) -> None:
-        if start != (0, 0):
-            raise ValidationError(f"walk must start at the origin, got {start}")
-        level = _exit_level(c - 1, rises, word)
-        if level is not None:
-            raise ValidationError(f"walk touches or crosses x = {c} at abscissa {c - 1 - level}")
-
-    return check
+    return _above(step_set, (0, 1, c - 1), lambda level: (
+        f"walk touches or crosses x = {c} at abscissa {c - 1 - level}"
+    ))
 
 
-def _positive(step_set: StepSet, name: str, origin: _Point | None = None):
+def _positive(step_set: StepSet, name: str):
     """The family check of the altitude walks of transform ``name``, and the
-    per-path check that every altitude is >= 1 and, if ``origin`` is given,
-    that the walk starts there."""
+    per-path check altitude >= 1, the form (1, 0, -1)."""
     require(step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
-    rises = _rises(step_set, 1, 0)  # the level altitude - 1
-
-    def check(start: _Point, word: str) -> None:
-        level = _exit_level(start[1] - 1, rises, word)
-        if level is not None:
-            raise ValidationError(f"walk drops to altitude {level + 1} < 1")
-        if origin is not None and start != origin:
-            raise ValidationError(f"walk must start at {origin}, got {start}")
-
-    return check
+    return _above(step_set, (1, 0, -1), lambda level: f"walk drops to altitude {level + 1} < 1")
 
 
-def _relabel(check, image_start: _Point, table: dict, reverse: bool = True):
-    """The core that runs ``check`` on a path, then relabels every letter of
-    its word through the ``str.maketrans`` table, in reverse order when
-    ``reverse`` is set, as a path from ``image_start``."""
+def _relabel(check, image_start: _Point, table: dict, reverse=True, from_origin=False):
+    """The core that checks a walk's start, if ``from_origin`` is set, and
+    runs ``check`` on it, then relabels every letter of its word through the
+    ``str.maketrans`` table, in reverse order when ``reverse`` is set, as a
+    path from ``image_start``."""
     order = -1 if reverse else 1
 
     def core(start: _Point, word: str) -> _Key:
+        if from_origin and start != (0, 0):
+            raise ValidationError(f"walk must start at the origin, got {start}")
         check(start, word)
         return image_start, word[::order].translate(table)
 
@@ -284,7 +274,7 @@ def _relabel(check, image_start: _Point, table: dict, reverse: bool = True):
 
 
 def _koroljuk_to_unit(step_set: StepSet, c: int):
-    return _relabel(_avoiding(step_set, c), (0, 0), _KOROLJUK_TO_UNIT)
+    return _relabel(_avoiding(step_set, c), (0, 0), _KOROLJUK_TO_UNIT, from_origin=True)
 
 
 def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
@@ -338,7 +328,7 @@ def unit_to_koroljuk(
 
 
 def _bohm_rotate(step_set: StepSet, c: int):
-    return _relabel(_avoiding(step_set, c), (0, c), _ROTATE, reverse=False)
+    return _relabel(_avoiding(step_set, c), (0, c), _ROTATE, reverse=False, from_origin=True)
 
 
 def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
@@ -355,7 +345,15 @@ def bohm_rotate(path: LatticePath, c: int) -> LatticePath:
 
 
 def _bohm_unrotate(step_set: StepSet, c: int):
-    return _relabel(_positive(step_set, "bohm_unrotate", (0, c)), (0, 0), _ROTATE, reverse=False)
+    member, origin = _positive(step_set, "bohm_unrotate"), (0, c)
+
+    def core(start: _Point, word: str) -> _Key:
+        member(start, word)
+        if start != origin:
+            raise ValidationError(f"walk must start at {origin}, got {start}")
+        return (0, 0), word.translate(_ROTATE)
+
+    return core
 
 
 def bohm_unrotate(path: LatticePath, c: int) -> LatticePath:

@@ -342,14 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = verify_commands.add_parser("sweep", help="closed forms vs oracle")
     p_sweep.add_argument("--max-k", type=int, default=3, help="largest slope (default 3)")
     p_sweep.add_argument("--max-extent", type=int, default=8,
-                         help="largest end ordinate (default 8; 0 means an empty grid)")
+                         help="largest end ordinate (default 8; 0 means an empty grid); the "
+                         "grid grows about as its fourth power, and no cap applies")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(handler=_cmd_verify)
 
     p_ident = verify_commands.add_parser("identities", help="identity grids and random checks")
     p_ident.add_argument("--trials", type=int, default=1000,
                          help="random convolution-identity trials (default 1000; "
-                         "half as many upper-negation pairs)")
+                         "half as many upper-negation pairs); the work, and the memory "
+                         "that holds the draws, grow with it without bound, and no cap applies")
     p_ident.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help=f"random seed (default {DEFAULT_SEED})")
     _add_output_flags(p_ident)
@@ -357,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bij = verify_commands.add_parser("bijections", help="transform suites")
     p_bij.add_argument("--max-steps", type=int, default=10,
-                       help="largest instance size in steps (default 10)")
+                       help="largest instance size in steps (default 10); no cap applies, "
+                       "but the instance grids are fixed, so values of 23 and above all "
+                       "run the same checks")
     _add_output_flags(p_bij)
     p_bij.set_defaults(handler=_cmd_verify)
 

@@ -8,23 +8,24 @@ Each family is a threshold map: paths take unit moves right and up through
 a grid of cells (i, j), and cell (i, j) is open when j >= lo(i), the region
 weakly above a line.  For unit paths i and j are the offsets of x and y from
 the start, and the line is the query's boundary.  The walk families put the
-counts of steps used of each kind on the two axes, and the line is the one
-``model`` derives for them.  Every lo is ``model._floors`` of an integer
-linear form (exact ceiling arithmetic, no floating point).  One kernel
-tabulates a map and one walker yields its paths' words, the strings of
-their step letters, one at a time; ``enumerate_paths`` and
-``enumerate_stepset`` wrap each word as a ``LatticePath``, and the private
-readers ``_unit_words`` and ``_stepset_words`` hand the bare words to the
-bijection sweeps.
+counts of steps used of each kind on the two axes, and ``_map`` derives
+their line from the family's condition.  Every lo is ``model._floors`` of
+an integer linear form (exact ceiling arithmetic, no floating point).
+``_map`` turns a ``PathQuery``, ``KoroljukQuery`` or ``BohmQuery`` into its
+map and is the only code that tells the query kinds apart; each public
+entry refuses a kind it does not document with TypeError.
 
-Counts tabulate, for each cell, the paths that end there, so their cost is
-the number of cells, and tables of more than MAX_DP_CELLS cells are
-refused.  The kernel, ``_columns``, yields its running column after each
-column, so one tabulation holds the count to every end point of the map
-from one start: ``dp_count`` and ``count_stepset`` keep only the far corner
-(O(height) memory), and the private readers ``_dp_table`` and
-``_census_table`` copy every column out for the verification sweeps, which
-check many end points against one line and start.
+One kernel tabulates a map and one walker yields its paths' words, the
+strings of their step letters, one at a time.  Counts tabulate, for each
+cell, the paths that end there, so their cost is the number of cells, and
+tables of more than MAX_DP_CELLS cells are refused.  The kernel,
+``_columns``, yields its running column after each column, so one
+tabulation holds the count to every end point of the map from one start:
+``dp_count`` and ``count_stepset`` keep only the far corner (O(height)
+memory), and the private reader ``_table`` copies every column out for
+the verification sweeps.  ``enumerate_paths`` and ``enumerate_stepset``
+wrap each word as a ``LatticePath``, and the private reader ``_words``
+hands the bare words to the bijection sweeps.
 
 Listings visit the members one by one and refuse more than
 MAX_ENUMERATION_STEPS steps (a listing stays under roughly 17 million
@@ -63,14 +64,6 @@ def _columns(width: int, height: int, lo: Callable[[int], int]) -> Iterator[list
         yield col
 
 
-def _tabulate(width: int, height: int, lo: Callable[[int], int]) -> int:
-    """Paths from cell (0, 0) to cell (width-1, height-1) through open cells."""
-    col = [0]  # an empty map has no paths
-    for col in _columns(width, height, lo):
-        pass
-    return col[-1]
-
-
 def _walk(width: int, height: int, lo: Callable[[int], int], letters: str) -> Iterator[str]:
     """The words of the threshold map's paths, one at a time, in lexicographic
     order.  letters[0] names the step that moves to the next column,
@@ -100,10 +93,45 @@ def _walk(width: int, height: int, lo: Callable[[int], int], letters: str) -> It
                 stack.append((i + di, j + dj, word + letter))
 
 
-def _unit_map(q: PathQuery) -> tuple[int, int, Callable[[int], int]]:
-    """Columns x = a..m, rows y = b..n: the line's form, moved to the start."""
-    a, b, c = q.boundary._form(q.strictness)
-    return q.m - q.a + 1, q.n - q.b + 1, _floors(a, b, a * q.b - b * q.a + c)
+_PATHS = (PathQuery,)
+_WALKS = (KoroljukQuery, BohmQuery)
+_UNIT = StepSet.unit()
+
+KoroljukSplit = namedtuple("KoroljukSplit", "avoiding intersecting")
+KoroljukSplit.__doc__ = "Counts of (1,1)/(-p,1) walks split by whether they meet the line x = c."
+
+
+def _map(q, kinds: tuple[type, ...] = _PATHS + _WALKS) -> tuple:
+    """The threshold map of q, which must be one of ``kinds``: (width, height,
+    lo, letters, start, step set, finish), where ``finish`` turns the count to
+    the far corner into the count's value."""
+    if not isinstance(q, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"expected a {expected}, got {type(q).__name__}")
+    if isinstance(q, PathQuery):
+        # Columns x = a..m, rows y = b..n: the line's form, moved to the start.
+        a, b, c = q.boundary._form(q.strictness)
+        lo = _floors(a, b, a * q.b - b * q.a + c)
+        return q.m - q.a + 1, q.n - q.b + 1, lo, "HV", (q.a, q.b), _UNIT, int
+    if isinstance(q, KoroljukQuery):
+        # Up-steps u on the columns, back-steps d on the rows.  The only rightward
+        # step is +1, so avoiding x = c is staying left of it: p*d - u + c - 1 >= 0.
+        lo = _floors(q.p, 1, q.c - 1)
+        return q.m + 1, q.n + 1, lo, "UD", (0, 0), StepSet.koroljuk(q.p), (
+            lambda kept: KoroljukSplit(kept, math.comb(q.m + q.n, q.n) - kept)
+        )
+    # Down-steps d on the columns, up-steps u on the rows: rise*u - d + start - 1 >= 0.
+    lo = _floors(q.rise, 1, q.start_alt - 1)
+    return q.down_steps + 1, q.ups + 1, lo, "DU", (0, q.start_alt), StepSet.bohm(q.rise), int
+
+
+def _count(q, kinds: tuple[type, ...]):
+    """The count of the paths from cell (0, 0) to the far corner of q's map."""
+    width, height, lo, _, _, _, finish = _map(q, kinds)
+    col = [0]  # an empty map has no paths
+    for col in _columns(width, height, lo):
+        pass
+    return finish(col[-1])
 
 
 def dp_count(q: PathQuery) -> int:
@@ -113,43 +141,7 @@ def dp_count(q: PathQuery) -> int:
     table simply extends down to cover it.  Unreachable end points give 0.
     Tables of more than MAX_DP_CELLS cells raise ResourceLimitError.
     """
-    return _tabulate(*_unit_map(q))
-
-
-def _dp_table(q: PathQuery) -> list[list[int]]:
-    """All the counts of one tabulation: table[i][j] is dp_count from (a, b)
-    to (a+i, b+j) under q's line and mode, for 0 <= i <= m-a and 0 <= j <= n-b."""
-    return [col[:] for col in _columns(*_unit_map(q))]
-
-
-def _unit_words(q: PathQuery) -> Iterator[str]:
-    """The words of ``enumerate_paths(q)``, in its order."""
-    return _walk(*_unit_map(q), "HV")
-
-
-def enumerate_paths(q: PathQuery) -> list[LatticePath]:
-    """All valid paths of q as unit-step LatticePath values, in lexicographic
-    order of their H/V step strings.  len(result) == dp_count(q)."""
-    start, unit = (q.a, q.b), StepSet.unit()
-    return [LatticePath(start, word, unit) for word in _unit_words(q)]
-
-
-KoroljukSplit = namedtuple("KoroljukSplit", "avoiding intersecting")
-KoroljukSplit.__doc__ = "Counts of (1,1)/(-p,1) walks split by whether they meet the line x = c."
-
-
-def _stepset_map(q: KoroljukQuery | BohmQuery, caller: str) -> tuple:
-    """The threshold map of a walk family, with its step letters, start and step set."""
-    if isinstance(q, KoroljukQuery):
-        # Up-steps u on the columns, back-steps d on the rows.  The only rightward
-        # step is +1, so avoiding x = c is staying left of it: p*d - u + c - 1 >= 0.
-        lo = _floors(q.p, 1, q.c - 1)
-        return q.m + 1, q.n + 1, lo, "UD", (0, 0), StepSet.koroljuk(q.p)
-    if isinstance(q, BohmQuery):
-        # Down-steps d on the columns, up-steps u on the rows: rise*u - d + start - 1 >= 0.
-        lo = _floors(q.rise, 1, q.start_alt - 1)
-        return q.down_steps + 1, q.ups + 1, lo, "DU", (0, q.start_alt), StepSet.bohm(q.rise)
-    raise TypeError(f"{caller} takes a KoroljukQuery or BohmQuery, got {type(q).__name__}")
+    return _count(q, _PATHS)
 
 
 def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
@@ -165,29 +157,33 @@ def count_stepset(q: KoroljukQuery | BohmQuery) -> KoroljukSplit | int:
     (1,-1) from the start altitude whose every visited altitude stays >= 1.
     Returns an int.
     """
-    width, height, lo, *_ = _stepset_map(q, "count_stepset")
-    kept = _tabulate(width, height, lo)
-    if isinstance(q, KoroljukQuery):
-        return KoroljukSplit(kept, math.comb(q.m + q.n, q.n) - kept)
-    return kept
+    return _count(q, _WALKS)
 
 
-def _census_table(q: KoroljukQuery | BohmQuery) -> list[list[int]]:
-    """All the counts of one census, with q's step counts as the far corner.
-    Koroljuk: table[u][d] is the walks of u up-steps and d back-steps that
-    avoid x = c.  Böhm: table[d][u] is the count_stepset of d down-steps and
-    u up-steps from the start altitude."""
-    width, height, lo, *_ = _stepset_map(q, "_census_table")
-    return [col[:] for col in _columns(width, height, lo)]
+def _table(q: PathQuery | KoroljukQuery | BohmQuery) -> list[list[int]]:
+    """Every count of one tabulation: table[i][j] counts the paths of q's map
+    to cell (i, j), as dp_count or count_stepset (Koroljuk: its avoiding
+    walks) would for the query with that far corner."""
+    return [col[:] for col in _columns(*_map(q)[:3])]
 
 
-def _stepset_words(q: KoroljukQuery | BohmQuery) -> Iterator[str]:
-    """The words of ``enumerate_stepset(q)``, in its order."""
-    return _walk(*_stepset_map(q, "_stepset_words")[:4])
+def _words(q: PathQuery | KoroljukQuery | BohmQuery) -> Iterator[str]:
+    """The words of q's listing, in its order."""
+    return _walk(*_map(q)[:4])
+
+
+def _listing(q, kinds: tuple[type, ...]) -> list[LatticePath]:
+    width, height, lo, letters, start, step_set, _ = _map(q, kinds)
+    return [LatticePath(start, word, step_set) for word in _walk(width, height, lo, letters)]
+
+
+def enumerate_paths(q: PathQuery) -> list[LatticePath]:
+    """All valid paths of q as unit-step LatticePath values, in lexicographic
+    order of their H/V step strings.  len(result) == dp_count(q)."""
+    return _listing(q, _PATHS)
 
 
 def enumerate_stepset(q: KoroljukQuery | BohmQuery) -> list[LatticePath]:
     """The family members themselves (Koroljuk: avoiding walks only), in
     lexicographic order of their U/D step strings ('D' < 'U')."""
-    *walk_map, start, step_set = _stepset_map(q, "enumerate_stepset")
-    return [LatticePath(start, word, step_set) for word in _walk(*walk_map)]
+    return _listing(q, _WALKS)

@@ -10,10 +10,9 @@ sweeps that need boundary-valid queries keep the tuples whose b and n reach
 per line.  Sweeps that check many end points of one line, mode and start
 (``formula_oracle_sweep``, ``cross_formula_sweep``, the census of
 ``complement_sweep``) read their oracle values from one tabulation of that
-line and start (``oracle._dp_table`` or ``oracle._census_table``), built
-when its first query needs it and dropped when its group of queries is
-done.  The three entry points mirror the command line and merge the
-summaries of the sweeps they run:
+line and start (``oracle._table``), built when its first query needs it
+and dropped when its group of queries is done.  The three entry points
+mirror the command line and merge the summaries of the sweeps they run:
 
 * ``run_sweep``: ``formula_oracle_sweep`` (closed forms versus the
   dynamic-programming oracle), ``recurrence_shift_sweep`` (the first-step
@@ -27,10 +26,9 @@ summaries of the sweeps they run:
   trips for every path transform on exhaustively enumerated small instances;
   a map that rejects its input counts as a failed check.  The suites never
   build a ``LatticePath``: they take each family's words from the oracle's
-  walker (``oracle._unit_words``, ``oracle._stepset_words``), key each path
-  as (start, word), and call the word-level cores that the public maps wrap
-  (``bijections._drop_one`` for ``drop_one``, and so on), each built once
-  per line or per case.
+  walker (``oracle._words``), key each path as (start, word), and call the
+  word-level cores that the public maps wrap (``bijections._drop_one`` for
+  ``drop_one``, and so on), each built once per line or per case.
 """
 
 from __future__ import annotations
@@ -88,14 +86,7 @@ from .model import (
     normalize_intercept,
     strictness_insensitive,
 )
-from .oracle import (
-    _census_table,
-    _dp_table,
-    _stepset_words,
-    _unit_words,
-    count_stepset,
-    dp_count,
-)
+from .oracle import _table, _words, count_stepset, dp_count
 
 
 @partial(_record_class, frozen=False)
@@ -181,7 +172,7 @@ def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
     columns, rows = _box(max_extent)
     for k, r, kind, strictness in product(range(1, max_k + 1), _INTERCEPTS, SlopeKind, Strictness):
         line = BoundaryLine(kind, k, r)
-        table = cache(lambda a, b: _dp_table(
+        table = cache(lambda a, b: _table(
             PathQuery(a, b, max_extent - 2, max_extent, line, strictness)
         ))
         for a, b, m, n in _above_floors(line, strictness, columns, rows):
@@ -304,10 +295,10 @@ def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
     for (p, c), group in groupby(KOROLJUK_GRID, itemgetter(0, 1)):
         group = list(group)
         corner = KoroljukQuery(p, c, max(m for _, _, m, _ in group), max(n for *_, n in group))
-        census = cache(lambda: _census_table(corner))
+        census = cache(lambda: _table(corner))
         for _, _, m, n in group:
             report = complement_check(p, c, m, n)
-            summary.record(report.ok, report.line)
+            _record(summary, report)
             if m + n <= max_census_steps:
                 avoiding = census()[m][n]
                 intersecting = math.comb(m + n, n) - avoiding
@@ -358,13 +349,13 @@ def cross_formula_sweep() -> SweepSummary:
     for k, group in groupby(_niederhausen_grid(), attrgetter("k")):
         group = list(group)
         top_m, top_n = max(q.m for q in group), max(q.n for q in group)
-        unit_table = cache(lambda kd: _dp_table(
+        unit_table = cache(lambda kd: _table(
             PathQuery(0, 0, top_m, top_n, integer_slope(k, kd), Strictness.STRICT)
         ))
-        walk_table = cache(lambda c: _census_table(KoroljukQuery(k, c, top_n, top_m)))
+        walk_table = cache(lambda c: _table(KoroljukQuery(k, c, top_n, top_m)))
         for q in group:
             report = niederhausen_forms_check(q)
-            summary.record(report.ok, report.line)
+            _record(summary, report)
             value = report.values["subtracted"]
             summary.record(
                 unit_table(q.kd)[q.m][q.n] == value,
@@ -384,7 +375,7 @@ def cross_formula_sweep() -> SweepSummary:
                 )
     for (rise, start_alt), group in groupby(_bohm_grid(), attrgetter("rise", "start_alt")):
         group = list(group)
-        table = _census_table(BohmQuery(rise, start_alt, 1, max(q.ups for q in group)))
+        table = _table(BohmQuery(rise, start_alt, 1, max(q.ups for q in group)))
         for q in group:
             value = bohm(q)
             direct = count_strict(q.rise, q.end_alt, 0, 0, q.ups, q.down_steps)
@@ -474,10 +465,10 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         rows = [(b, n) for b in b_range for n in range(b, b + height)]
         for a, b, m, n in _above_floors(line, strictness, columns, rows):
             if (m - a) + (n - b) <= max_steps:
-                yield a, b, m, n, _keys((a, b), _unit_words(PathQuery(a, b, m, n, line, strictness)))
+                yield a, b, m, n, _keys((a, b), _words(PathQuery(a, b, m, n, line, strictness)))
 
     def weak(a: int, b: int, m: int, n: int, line: BoundaryLine) -> list[_Key]:
-        return _keys((a, b), _unit_words(PathQuery(a, b, m, n, line, Strictness.WEAK)))
+        return _keys((a, b), _words(PathQuery(a, b, m, n, line, Strictness.WEAK)))
 
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)
@@ -508,8 +499,8 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         target_line = integer_slope(q.rise, q.end_alt)
         yield (
             f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
-            _keys((0, q.start_alt), _stepset_words(q)),
-            _keys((0, 0), _unit_words(
+            _keys((0, q.start_alt), _words(q)),
+            _keys((0, 0), _words(
                 PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)
             )),
             _bohm_to_unit(StepSet.bohm(q.rise)),
@@ -528,7 +519,7 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
             continue
         case = f"p={p} c={c} m={m} n={n}"
         walk_q = KoroljukQuery(p, c, m, n)
-        walks = _keys((0, 0), _stepset_words(walk_q))
+        walks = _keys((0, 0), _words(walk_q))
         walk_steps, altitude_steps = StepSet.koroljuk(p), StepSet.bohm(p)
         to_unit, rotate = _koroljuk_to_unit(walk_steps, c), _bohm_rotate(walk_steps, c)
         v = c + p * n - m
@@ -552,7 +543,7 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
                 summary,
                 f"koroljuk-to-unit {case}",
                 walks,
-                _keys((0, 0), _unit_words(unit_q)),
+                _keys((0, 0), _words(unit_q)),
                 to_unit,
                 _unit_to_koroljuk(_UNIT, p, c),
             )
@@ -560,7 +551,7 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
                 summary,
                 f"bohm-rotate {case}",
                 walks,
-                _keys((0, c), _stepset_words(BohmQuery(p, c, v, n))),
+                _keys((0, c), _words(BohmQuery(p, c, v, n))),
                 rotate,
                 _bohm_unrotate(altitude_steps, c),
             )

@@ -27,7 +27,7 @@ from latticepaths import (
     koroljuk_reduced,
     normalize_intercept,
 )
-from latticepaths.oracle import MAX_DP_CELLS, _census_table, _dp_table
+from latticepaths.oracle import MAX_DP_CELLS, _table
 from latticepaths.verify import KOROLJUK_GRID, _bohm_grid
 
 
@@ -109,6 +109,31 @@ def test_enumerate_paths_guard():
     q = PathQuery(0, 0, 20, 20, integer_slope(1, 0), WEAK)
     with pytest.raises(ResourceLimitError):
         enumerate_paths(q)
+
+
+_UNIT_QUERY = PathQuery(0, 0, 2, 2, integer_slope(1, 0), WEAK)
+_NOT_A_QUERY = (0, 0, 2, 2)
+_REFUSALS = [
+    (dp_count, KoroljukQuery(1, 2, 2, 1), "expected a PathQuery, got KoroljukQuery"),
+    (dp_count, BohmQuery(1, 2, 1, 2), "expected a PathQuery, got BohmQuery"),
+    (dp_count, _NOT_A_QUERY, "expected a PathQuery, got tuple"),
+    (enumerate_paths, KoroljukQuery(1, 2, 2, 1), "expected a PathQuery, got KoroljukQuery"),
+    (enumerate_paths, BohmQuery(1, 2, 1, 2), "expected a PathQuery, got BohmQuery"),
+    (enumerate_paths, _NOT_A_QUERY, "expected a PathQuery, got tuple"),
+    (count_stepset, _UNIT_QUERY, "expected a KoroljukQuery or BohmQuery, got PathQuery"),
+    (count_stepset, _NOT_A_QUERY, "expected a KoroljukQuery or BohmQuery, got tuple"),
+    (enumerate_stepset, _UNIT_QUERY, "expected a KoroljukQuery or BohmQuery, got PathQuery"),
+    (enumerate_stepset, _NOT_A_QUERY, "expected a KoroljukQuery or BohmQuery, got tuple"),
+]
+
+
+@pytest.mark.parametrize("entry, q, message", [
+    pytest.param(*case, id=f"{case[0].__name__}-{type(case[1]).__name__}") for case in _REFUSALS
+])
+def test_each_entry_refuses_the_query_kinds_it_does_not_document(entry, q, message):
+    with pytest.raises(TypeError) as excinfo:
+        entry(q)
+    assert str(excinfo.value) == message
 
 
 def test_count_stepset_koroljuk_examples():
@@ -205,7 +230,7 @@ def test_every_cell_of_a_dp_table_is_the_dp_count_of_its_end_point(k):
     starts = [(0, 0), (1, -2), (-1, 1), (2, 3)]
     for kind, strictness, r, (a, b) in product(SlopeKind, Strictness, intercepts, starts):
         line = BoundaryLine(kind, k, r)
-        table = _dp_table(PathQuery(a, b, a + 4, b + 6, line, strictness))
+        table = _table(PathQuery(a, b, a + 4, b + 6, line, strictness))
         assert [len(col) for col in table] == [7] * 5
         for i, j in product(range(5), range(7)):
             q = PathQuery(a, b, a + i, b + j, line, strictness)
@@ -215,12 +240,12 @@ def test_every_cell_of_a_dp_table_is_the_dp_count_of_its_end_point(k):
 def test_every_cell_of_a_census_table_is_the_count_stepset_of_its_corner():
     for (p, c), group in groupby(KOROLJUK_GRID, lambda t: t[:2]):
         group = list(group)
-        table = _census_table(KoroljukQuery(p, c, max(t[2] for t in group), 4))
+        table = _table(KoroljukQuery(p, c, max(t[2] for t in group), 4))
         for _, _, m, n in group:
             assert table[m][n] == count_stepset(KoroljukQuery(p, c, m, n)).avoiding, (p, c, m, n)
     for q in _bohm_grid():
         # The far corner: five up-steps down to altitude 1, the most down-steps of the grid.
-        table = _census_table(BohmQuery(q.rise, q.start_alt, 1, 5))
+        table = _table(BohmQuery(q.rise, q.start_alt, 1, 5))
         assert table[q.down_steps][q.ups] == count_stepset(q), q
 
 

@@ -9,6 +9,7 @@ import latticepaths.identities as identities_module
 import latticepaths.verify as verify_module
 from latticepaths import (
     BoundaryLine,
+    KoroljukQuery,
     PathQuery,
     SlopeKind,
     Strictness,
@@ -71,35 +72,38 @@ def _assert_reports_failures(summary):
     assert summary.first_failure
 
 
-def _off_by_one(monkeypatch, name):
-    """Replace the oracle table reader ``name`` in verify by one whose every
-    cell is one too large."""
-    table = getattr(verify_module, name)
-    monkeypatch.setattr(
-        verify_module, name, lambda q: [[value + 1 for value in col] for col in table(q)]
-    )
+def _off_by_one(monkeypatch, kind):
+    """Replace the oracle table reader in verify by one whose every cell is
+    one too large on queries of ``kind``."""
+    table = verify_module._table
+
+    def wrong(q):
+        cols = table(q)
+        return [[value + 1 for value in col] for col in cols] if isinstance(q, kind) else cols
+
+    monkeypatch.setattr(verify_module, "_table", wrong)
 
 
 def test_formula_oracle_sweep_reports_a_wrong_oracle(monkeypatch):
-    _off_by_one(monkeypatch, "_dp_table")
+    _off_by_one(monkeypatch, PathQuery)
     summary = formula_oracle_sweep(1, 3)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("formula-vs-oracle")
 
 
-@pytest.mark.parametrize("name, label", [
-    ("_dp_table", "oracle disagrees with strict count k=1 "),
-    ("_census_table", "walk census disagrees with strict count k=1 "),
+@pytest.mark.parametrize("kind, label", [
+    pytest.param(PathQuery, "oracle disagrees with strict count k=1 ", id="PathQuery"),
+    pytest.param(KoroljukQuery, "walk census disagrees with strict count k=1 ", id="KoroljukQuery"),
 ])
-def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, name, label):
-    _off_by_one(monkeypatch, name)
+def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, kind, label):
+    _off_by_one(monkeypatch, kind)
     summary = cross_formula_sweep()
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith(label)
 
 
 def test_complement_sweep_reports_a_wrong_census(monkeypatch):
-    _off_by_one(monkeypatch, "_census_table")
+    _off_by_one(monkeypatch, KoroljukQuery)
     summary = complement_sweep(5)
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith("census disagrees with pass complement: p=1 c=1 m=1 n=1")
