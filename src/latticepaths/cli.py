@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident = verify_commands.add_parser("identities", help="identity grids and random checks")
     p_ident.add_argument("--trials", type=int, default=1000,
                          help="random convolution-identity trials (default 1000; "
-                         "half as many upper-negation pairs); the work, and the memory "
-                         "that holds the draws, grow with it without bound, and no cap applies")
+                         "half as many upper-negation pairs); the work grows with it "
+                         "without bound, and no cap applies")
     p_ident.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help=f"random seed (default {DEFAULT_SEED})")
     _add_output_flags(p_ident)

@@ -31,17 +31,17 @@ count_weak          _unit_count(k, b+r+1-k*a, m-a, n-b)
 count_strict        _unit_count(k, b+r-k*a, m-a, n-b)
 count_weak_inv      _unit_count(k, k*n+k*r+1-m, n-b, m-a)
 count_strict_inv    _unit_count(k, k*n+k*r-m, n-b, m-a)
-bohm                _avoiding(rise, end_alt, ups, down_steps)
-koroljuk_reduced    _touching(p, c+p*n-m, n, m)
-niederhausen        C(m+n, m) - _touching(k, k*d, m, n)
+bohm                _unit_count(rise, end_alt, ups, down_steps)
+koroljuk_reduced    C(m+n, n) - _unit_count(p, c+p*n-m, n, m)
+niederhausen        _unit_count(k, k*d, m, n)
 ==================  ===============================================
 
 The inverse rows turn the rectangle by 180 degrees and swap the axes, as
 ``bijections.reflect_inverse`` does to paths.  ``_unit_count`` runs
 ``_touching``, subtracted from C(M+N, M), when it has strictly fewer
 nonzero terms, so a line that only clips the rectangle costs one binomial.
-The last three rows make their own kernel call whatever the chooser would
-pick, so the sweeps still compare distinct routes.
+It is the only caller of the two sums here; a check that compares routes
+calls them by name (``identities``, ``verify``).
 
 ``_touching`` holds for every d >= 1, not only in Niederhausen's stated
 domain d >= (k-1)*M, which ``niederhausen`` keeps as its precondition:
@@ -262,9 +262,10 @@ def koroljuk_literal(q: KoroljukQuery) -> int:
 
 
 def koroljuk_reduced(q: KoroljukQuery) -> int:
-    """Same count as koroljuk_literal, reindexed over i = (s - c)/(p+1)."""
+    """Same count as koroljuk_literal: the C(m+n, n) walks less those that
+    avoid x = c, the unit paths strictly above y = p*x - (c + p*n - m)."""
     p, c, m, n = q.p, q.c, q.m, q.n
-    return _touching(p, c + p * n - m, n, m)
+    return _finish(binomial(m + n, n) - _unit_count(p, c + p * n - m, n, m))
 
 
 def niederhausen(q: NiederhausenQuery) -> int:
@@ -280,17 +281,13 @@ def niederhausen(q: NiederhausenQuery) -> int:
             f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}")
     require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
     require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
-    return _finish(binomial(m + n, m) - _touching(k, kd, m, n))
+    return _unit_count(k, kd, m, n)
 
 
 def bohm(q: BohmQuery) -> int:
-    """Count of the positive-altitude walks of q.
-
-    The alternating sum stops at floor((end_alt - 1)/(rise + 1)), the last
-    term whose binomials are nonzero.  Equals count_strict(rise, end_alt, 0, 0, ups,
-    start_alt + rise*ups - end_alt).
-    """
-    return _avoiding(q.rise, q.end_alt, q.ups, q.down_steps)
+    """Count of the positive-altitude walks of q.  Equals
+    count_strict(rise, end_alt, 0, 0, ups, start_alt + rise*ups - end_alt)."""
+    return _unit_count(q.rise, q.end_alt, q.ups, q.down_steps)
 
 
 def _evaluate(q: PathQuery) -> int:

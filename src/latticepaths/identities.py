@@ -20,7 +20,7 @@ from math import comb, factorial, lcm, prod
 
 from .errors import DEFAULT_SEED, ValidationError, require
 from .exactmath import Rational, binomial, upper_negation
-from .formulas import _avoiding, _exact, count_strict, count_weak, koroljuk_reduced, niederhausen
+from .formulas import _avoiding, _exact, _touching, count_strict, count_weak, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery, _record_class
 
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
@@ -149,20 +149,18 @@ def upper_negation_check(x: Rational | int, k: int) -> CheckReport:
 def complement_check(p: int, c: int, m: int, n: int) -> CheckReport:
     """Split the C(m+n, n) two-letter walks by whether they meet x = c.
 
-    The intersecting count comes from the reduced sum; the avoiding count is
-    the strict unit-path count above y = p*x - v with v = c + p*n - m, taken
-    as 0 when v < 1 (the origin itself would not clear the line, so no walk
-    avoids x = c).  The avoiding count is the alternating sum
-    ``_avoiding(p, v, n, m)``, not ``count_strict(p, v, 0, 0, n, m)``: that
-    may answer by the last-passage sum ``_touching(p, v, n, m)``, which is
-    ``koroljuk_reduced``'s own, and would make the split hold by
-    construction.
+    The walks that avoid x = c are the unit paths strictly above
+    y = p*x - v with v = c + p*n - m (none when v < 1: the origin itself
+    would not clear the line).  The two parts come from the two sums by
+    name, so the split compares two routes: the intersecting count from the
+    last-passage sum ``_touching(p, v, n, m)``, the avoiding count from the
+    alternating sum ``_avoiding(p, v, n, m)``.
     """
-    query = KoroljukQuery(p, c, m, n)
-    total = binomial(m + n, n)
-    intersecting = koroljuk_reduced(query)
+    KoroljukQuery(p, c, m, n)  # rejects a parameter below 1
     v = c + p * n - m
-    avoiding = _avoiding(p, v, n, m) if v >= 1 else 0
+    total = binomial(m + n, n)
+    intersecting = _touching(p, v, n, m)
+    avoiding = _avoiding(p, v, n, m)
     return CheckReport(
         "complement",
         {"p": p, "c": c, "m": m, "n": n},
@@ -219,22 +217,22 @@ def shift_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckReport:
 
 def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     """Agreement of the two printed forms of the strict count with the
-    direct evaluator.
+    direct value and with ``niederhausen``, which enforces the stated domain.
 
-    The subtracted form is ``niederhausen`` itself; the collected form
-    recomputes the correction sum with the leading factor folded into the
-    larger binomial, (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i)
-    * C((k+1)i-kd, i); the direct value is the alternating sum
-    ``_avoiding(k, kd, m, n)``, not ``count_strict(k, kd, 0, 0, m, n)``,
-    which may answer by the subtracted form.  With
-    e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the first
-    two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
+    The subtracted form is C(m+n, m) less the last-passage sum
+    ``_touching(k, kd, m, n)``; the collected form recomputes that
+    correction sum with the leading factor folded into the larger binomial,
+    (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i) * C((k+1)i-kd, i);
+    the direct value is the alternating sum ``_avoiding(k, kd, m, n)``.
+    With e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the
+    first two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
     integer taken by one exact division, so the sum runs in integers.
     """
-    subtracted = niederhausen(q)
+    evaluated = niederhausen(q)
     k, m, n, kd = q.k, q.m, q.n, q.kd
     e = n + kd - k * m
     collected = binomial(m + n, m)
+    subtracted = collected - _touching(k, kd, m, n)
     for i in range((kd - 1) // (k + 1) + 1, m + 1):
         upper = m + n + kd - (k + 1) * i
         collected -= _exact(binomial(upper, m - i), e, upper) * binomial((k + 1) * i - kd, i)
@@ -243,7 +241,7 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
         "strict-count-forms",
         {"k": k, "d": q.d, "m": m, "n": n},
         {"subtracted": subtracted, "collected": collected, "direct": direct},
-        subtracted == collected == direct,
+        evaluated == subtracted == collected == direct,
     )
 
 

@@ -41,7 +41,7 @@ from functools import cache, partial
 from itertools import groupby, product
 from operator import attrgetter, itemgetter
 
-from .formulas import _evaluate, bohm, count, count_strict, koroljuk_literal, koroljuk_reduced
+from .formulas import _avoiding, _evaluate, _touching, bohm, count, koroljuk_literal, koroljuk_reduced
 from .bijections import (
     _Key,
     _bohm_rotate,
@@ -124,10 +124,8 @@ class SweepSummary:
         return text
 
 
-def _record(summary: SweepSummary, *reports: CheckReport) -> SweepSummary:
-    for report in reports:
-        summary.record(report.ok, report.line)
-    return summary
+def _record(summary: SweepSummary, report: CheckReport) -> None:
+    summary.record(report.ok, report.line)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +314,19 @@ def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
 def hagen_rothe_sweep(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary:
     """Seeded random convolution-identity checks."""
     rng = random.Random(seed)
-    params = [random_hagen_rothe(rng) for _ in range(trials)]
-    return _record(SweepSummary(), *map(hagen_rothe_check, params))
+    summary = SweepSummary()
+    for _ in range(trials):
+        _record(summary, hagen_rothe_check(random_hagen_rothe(rng)))
+    return summary
 
 
 def upper_negation_sweep(pairs: int = 500, seed: int = DEFAULT_SEED) -> SweepSummary:
     """Seeded random upper-negation checks."""
     rng = random.Random(seed)
-    drawn = [random_upper_negation(rng) for _ in range(pairs)]
-    return _record(SweepSummary(), *(upper_negation_check(x, k) for x, k in drawn))
+    summary = SweepSummary()
+    for _ in range(pairs):
+        _record(summary, upper_negation_check(*random_upper_negation(rng)))
+    return summary
 
 
 def _niederhausen_grid() -> Iterator[NiederhausenQuery]:
@@ -341,10 +343,10 @@ def _bohm_grid() -> Iterator[BohmQuery]:
 
 
 def cross_formula_sweep() -> SweepSummary:
-    """The two specialized counts against the strict evaluator and the
-    step-by-step census.  For each k, the oracle values come from one
-    unit-path table per k*d and one walk census per c; for the altitude
-    walks, from one census per (rise, start)."""
+    """The two specialized counts against both origin-form sums, each called
+    by name, and the step-by-step census.  For each k, the oracle values
+    come from one unit-path table per k*d and one walk census per c; for the
+    altitude walks, from one census per (rise, start)."""
     summary = SweepSummary()
     for k, group in groupby(_niederhausen_grid(), attrgetter("k")):
         group = list(group)
@@ -377,15 +379,17 @@ def cross_formula_sweep() -> SweepSummary:
         group = list(group)
         table = _table(BohmQuery(rise, start_alt, 1, max(q.ups for q in group)))
         for q in group:
+            origin_form = (q.rise, q.end_alt, q.ups, q.down_steps)
             value = bohm(q)
-            direct = count_strict(q.rise, q.end_alt, 0, 0, q.ups, q.down_steps)
+            avoiding = _avoiding(*origin_form)
+            subtracted = math.comb(q.ups + q.down_steps, q.ups) - _touching(*origin_form)
             census = table[q.down_steps][q.ups]
             summary.record(
-                value == direct == census,
-                lambda q=q, value=value, direct=direct, census=census: (
+                value == avoiding == subtracted == census,
+                lambda q=q, value=value, avoiding=avoiding, subtracted=subtracted, census=census: (
                     f"altitude-walk forms rise={q.rise} start={q.start_alt} "
-                    f"end={q.end_alt} ups={q.ups}: sum {value}, "
-                    f"strict count {direct}, census {census}"
+                    f"end={q.end_alt} ups={q.ups}: bohm {value}, alternating sum {avoiding}, "
+                    f"subtracted form {subtracted}, census {census}"
                 ),
             )
     return summary
@@ -566,8 +570,6 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
 def run_bijections(max_steps: int = 10) -> SweepSummary:
     """All transform suites on instances of at most ``max_steps`` steps; the
     composite-route consistency check runs two steps beyond that."""
-    if max_steps < 0:
-        return SweepSummary()
     summary = _walk_sweep(max_steps)
     for case in _bijection_cases(max_steps):
         _check_bijection(summary, *case)

@@ -61,6 +61,18 @@ def _imports(module_file):
     return found
 
 
+def _callers(module_file, name):
+    """The functions of a package module that call ``name``."""
+    tree = ast.parse((Path(latticepaths.__file__).parent / module_file).read_text())
+    return {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+
+
 def test_two_route_rule_holds_in_the_imports():
     # The oracle imports nothing from formulas; its queries live in the model.
     assert "formulas" not in _imports("oracle.py")
@@ -72,15 +84,14 @@ def test_two_route_rule_holds_in_the_imports():
     for module in sorted(package.glob("*.py")):
         if module.name != "formulas.py":
             assert all("_ballot_sum" not in names for names in _imports(module.name).values()), module
-    tree = ast.parse((package / "formulas.py").read_text())
-    callers = {
-        func.name
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ballot_sum"
-    }
-    assert callers == {"_avoiding", "_touching"}
+    assert _callers("formulas.py", "_ballot_sum") == {"_avoiding", "_touching"}
+
+
+def test_every_closed_form_answers_through_the_chooser():
+    # In formulas only _unit_count picks between the two sums; a check that
+    # compares routes calls them by name from identities or verify.
+    for name in ("_avoiding", "_touching"):
+        assert _callers("formulas.py", name) == {"_unit_count"}, name
 
 
 def _child_env():

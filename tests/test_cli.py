@@ -82,10 +82,29 @@ def test_count_json_document(capsys):
     assert doc["parameters"]["slope"] == "1"
 
 
-def test_count_malformed_rational_exits_2(capsys):
-    code, _, err = run(capsys, "count", "--slope", "1", "--intercept", "x/y",
-                       "--to", "2,2", "--weak")
-    assert code == 2
+_USAGE_ERROR = "latticepaths count: error: argument "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--slope", "1", "--intercept", "x/y", "--to", "2,2", "--weak"),
+     _USAGE_ERROR + "--intercept: not a rational number: 'x/y'"),
+    (("count", "--slope", "2/3", "--to", "2,2", "--weak"),
+     _USAGE_ERROR + "--slope: expected an integer k or 1/k, got '2/3'"),
+    (("count", "--slope", "x", "--to", "2,2", "--weak"),
+     _USAGE_ERROR + "--slope: expected an integer k or 1/k, got 'x'"),
+    (("count", "--slope", "1", "--to", "1,2,3", "--weak"),
+     _USAGE_ERROR + "--to: expected 'x,y', got '1,2,3'"),
+    (("count", "--slope", "1", "--to", "a,b", "--weak"),
+     _USAGE_ERROR + "--to: expected integers in 'x,y', got 'a,b'"),
+    (("enumerate", "--slope", "1", "--from", "2,2", "--to", "1,1", "--weak"),
+     "error: invalid query: end point not reachable from start"),
+    (("enumerate", "--slope", "1", "--from", "2,1", "--to", "3,5", "--weak"),
+     "error: invalid query: start violates the boundary constraint"),
+], ids=["intercept-not-rational", "slope-not-1-over-k", "slope-not-a-number", "to-three-parts",
+        "to-not-integers", "enumerate-unreachable-end", "enumerate-start-below-the-line"])
+def test_malformed_input_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
 
 
 def test_count_out_file(tmp_path, capsys):

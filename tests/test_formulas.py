@@ -563,6 +563,22 @@ def test_inverse_slope_counts_reach_the_chooser(kernel_calls):
     assert value == dp_count(PathQuery(0, 0, m, n, inverse_slope(k, r), STRICT))
 
 
+@pytest.mark.parametrize("evaluate, q, chosen, other_route", [
+    # 2 alternating terms against 298 last-passage terms
+    (koroljuk_reduced, KoroljukQuery(1, 3, 300, 300), (2, -1), koroljuk_literal),
+    # 1 last-passage term against 1,000 alternating terms
+    (bohm, BohmQuery(1, 1, 2000, 2000), (-2000, 2),
+     lambda q: _avoiding(q.rise, q.end_alt, q.ups, q.down_steps)),
+    # 1 alternating term against 2,000 last-passage terms
+    (niederhausen, NiederhausenQuery(1, 1, 2000, 2000), (0, -1),
+     lambda q: math.comb(q.m + q.n, q.m) - _touching(q.k, q.kd, q.m, q.n)),
+], ids=["koroljuk_reduced", "bohm", "niederhausen"])
+def test_walk_counts_reach_the_chooser(kernel_calls, evaluate, q, chosen, other_route):
+    value = evaluate(q)
+    assert kernel_calls == [chosen]
+    assert value == other_route(q)
+
+
 def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
     N = 10**4
     assert count_weak(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N)

@@ -194,18 +194,20 @@ def test_random_generators_are_deterministic():
 
 
 def test_niederhausen_forms_check_takes_the_direct_value_by_the_alternating_sum(kernel_calls):
-    # count_strict answers this query by the subtracted form, so the direct
-    # value must come from the other sum for the check to compare three routes.
-    k, kd, m, n = 2, 60, 30, 60
-    report = niederhausen_forms_check(NiederhausenQuery(k, Fraction(kd, k), m, n))
-    assert report.ok, report.line()
-    assert sorted(kernel_calls) == [(-kd, k + 1), (kd - 1, -k)]
+    # niederhausen answers the first query by the last-passage sum and the
+    # second by the alternating sum; either way the check runs both sums by
+    # name, so it compares two routes beside the collected form.
+    for (k, kd, m, n), chosen in (((2, 60, 30, 60), (-60, 3)), ((1, 1, 20, 20), (0, -1))):
+        kernel_calls.clear()
+        report = niederhausen_forms_check(NiederhausenQuery(k, Fraction(kd, k), m, n))
+        assert report.ok, report.line()
+        assert sorted(kernel_calls) == sorted([chosen, (-kd, k + 1), (kd - 1, -k)])
 
 
 def test_complement_check_takes_the_avoiding_count_by_the_alternating_sum(kernel_calls):
-    # count_strict(p, v, 0, 0, n, m) answers this query by the last-passage
-    # sum, which is koroljuk_reduced's own; the avoiding count must come from
-    # the alternating sum for the split to compare two routes.
+    # count_strict(p, v, 0, 0, n, m) and koroljuk_reduced answer this query
+    # by the last-passage sum; the split must take its avoiding count from
+    # the alternating sum to compare two routes.
     from latticepaths import (
         KoroljukQuery,
         PathQuery,
@@ -237,6 +239,7 @@ def test_complement_check_takes_the_avoiding_count_by_the_alternating_sum(kernel
     (lambda: recurrence_check(2, 4, 0, 1, 1, 3),
      "translated start ordinate b - k must be >= 0, got b=1, k=2"),
     (lambda: shift_check(1, 1, 0, 0, 1, 2), "need b >= 1, got 0"),
+    (lambda: HagenRotheParams(1, 1, 1, -1), "need n >= 0, got -1"),
 ])
 def test_identity_precondition_messages(call, message):
     with pytest.raises(ValidationError) as caught:

@@ -8,8 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latticepaths import (
+    BohmQuery,
     BoundaryLine,
     LatticePath,
+    NiederhausenQuery,
     PathQuery,
     QueryCategory,
     SlopeKind,
@@ -247,6 +249,23 @@ def test_step_set_lookup_errors():
         unit.letter_for((1, 1))
     with pytest.raises(ValidationError, match=r"^step \[1, 0\] does not belong to the unit step set$"):
         unit.letter_for([1, 0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NiederhausenQuery(0, 1, 1, 1), "NiederhausenQuery needs k >= 1, got 0"),
+    (lambda: NiederhausenQuery(1, 1, 1, 0), "NiederhausenQuery needs n >= 1, got 0"),
+    (lambda: NiederhausenQuery(1, 1, -1, 1), "NiederhausenQuery needs m >= 0, got -1"),
+    (lambda: BohmQuery(0, 1, 1, 1), "BohmQuery needs rise >= 1, got 0"),
+    (lambda: BohmQuery(1, 1, 1, -1), "BohmQuery needs ups >= 0, got -1"),
+    (lambda: StepSet(StepKind.UNIT, 1), "unit step set takes no parameter"),
+    (lambda: StepSet(StepKind.KOROLJUK, 0), "koroljuk step set needs a parameter >= 1"),
+    (lambda: StepSet(StepKind.BOHM, -1), "bohm step set needs a parameter >= 1"),
+], ids=["niederhausen-k", "niederhausen-n", "niederhausen-m", "bohm-rise", "bohm-ups",
+        "unit-param", "koroljuk-param", "bohm-param"])
+def test_value_classes_reject_bad_parameters_with_their_message(make, message):
+    with pytest.raises(ValidationError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 def test_path_points_and_end():

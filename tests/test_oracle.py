@@ -73,6 +73,9 @@ def test_dp_count_examples():
     assert dp_count(PathQuery(0, 0, 1, 2, integer_slope(1, 1), STRICT)) == 2
     assert dp_count(PathQuery(0, 0, 2, 4, integer_slope(2, 0), WEAK)) == 3
     assert dp_count(PathQuery(2, 2, 2, 2, integer_slope(1, 0), WEAK)) == 1
+    # An unreachable end and a start below the line have empty maps.
+    assert dp_count(PathQuery(2, 2, 1, 1, integer_slope(1, 0), WEAK)) == 0
+    assert dp_count(PathQuery(2, 1, 3, 5, integer_slope(1, 0), WEAK)) == 0
 
 
 def test_dp_count_supports_negative_start_ordinate():
@@ -89,6 +92,10 @@ def test_enumerate_paths_examples():
     empty = PathQuery(1, 1, 1, 1, integer_slope(1, 0), WEAK)
     paths = enumerate_paths(empty)
     assert len(paths) == 1 and paths[0].steps == ()
+
+    unreachable = PathQuery(2, 2, 1, 1, integer_slope(1, 0), WEAK)
+    below = PathQuery(2, 1, 3, 5, integer_slope(1, 0), WEAK)
+    assert enumerate_paths(unreachable) == enumerate_paths(below) == []
 
 
 def test_enumerate_paths_is_lexicographic_and_matches_dp():

@@ -1,6 +1,7 @@
 """Pinned check counts of the verification sweeps, and sweeps that must
 report a deliberately broken route."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import latticepaths.identities as identities_module
 import latticepaths.verify as verify_module
 from latticepaths import (
+    BohmQuery,
     BoundaryLine,
     KoroljukQuery,
     PathQuery,
@@ -45,6 +47,8 @@ from latticepaths.cli import main
     (complement_sweep, (5,), 1008),
     (run_bijections, (1,), 3745),
     (run_bijections, (6,), 19357),
+    # a negative step budget leaves every instance out
+    (run_bijections, (-1,), 0),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_sweep_check_counts(sweep, args, checks):
     summary = sweep(*args)
@@ -94,12 +98,39 @@ def test_formula_oracle_sweep_reports_a_wrong_oracle(monkeypatch):
 @pytest.mark.parametrize("kind, label", [
     pytest.param(PathQuery, "oracle disagrees with strict count k=1 ", id="PathQuery"),
     pytest.param(KoroljukQuery, "walk census disagrees with strict count k=1 ", id="KoroljukQuery"),
+    pytest.param(BohmQuery, "altitude-walk forms rise=1 start=1 end=1 ups=0: bohm 1, "
+                 "alternating sum 1, subtracted form 1, census 2", id="BohmQuery"),
 ])
 def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, kind, label):
     _off_by_one(monkeypatch, kind)
     summary = cross_formula_sweep()
     _assert_reports_failures(summary)
     assert summary.first_failure.startswith(label)
+
+
+def test_the_altitude_walk_record_runs_both_sums(monkeypatch, kernel_calls):
+    # bohm answers (rise, start, end, ups) = (1, 1, 5, 5) by the last-passage
+    # sum, one term against three; the record runs both sums by name beside
+    # it, so it compares two routes with the census.
+    q = BohmQuery(1, 1, 5, 5)
+    monkeypatch.setattr(verify_module, "_niederhausen_grid", lambda: iter(()))
+    monkeypatch.setattr(verify_module, "_bohm_grid", lambda: iter((q,)))
+    summary = cross_formula_sweep()
+    assert (summary.checks, summary.failures) == (1, 0)
+    d, k = q.end_alt, q.rise
+    assert sorted(kernel_calls) == [(-d, k + 1), (-d, k + 1), (d - 1, -k)]
+
+
+def test_random_identity_sweeps_hold_one_draw_at_a_time():
+    for sweep in (hagen_rothe_sweep, upper_negation_sweep):
+        tracemalloc.start()
+        try:
+            summary = sweep(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (summary.checks, summary.failures) == (1000, 0)
+        assert peak < 100_000, (sweep.__name__, peak)
 
 
 def test_complement_sweep_reports_a_wrong_census(monkeypatch):
