@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
 from .formulas import bohm, count, koroljuk_literal, koroljuk_reduced, niederhausen
@@ -101,14 +102,17 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
                       const=Strictness.STRICT, help="paths stay strictly above the line")
 
 
-def _emit(args: argparse.Namespace, text: str, parameters: dict, result: object,
-          ok: bool = True, show_empty: bool = False) -> int:
+def _emit(args: argparse.Namespace, text: str, parameters: dict | Callable[[], dict],
+          result: object, ok: bool = True, show_empty: bool = False) -> int:
     """Print ``text``, or with --json the document {command, parameters,
-    result, ok}; with --out, write the same output to a file first."""
+    result, ok}, where parameters given as a function are built only then;
+    with --out, write the same output to a file first."""
     output = text
     if args.json:
         import json
         command = " ".join(filter(None, (args.command, getattr(args, "verify_command", None))))
+        if callable(parameters):
+            parameters = parameters()
         output = json.dumps({"command": command, "parameters": parameters,
                              "result": result, "ok": ok})
     visible = bool(output) or (show_empty and not args.json)
@@ -160,7 +164,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if not _validate_or_warn(q):
         return 2
     value = count(q)
-    parameters = _query_parameters(q)
+    parameters = partial(_query_parameters, q)  # str(r) of a huge intercept is slow
     if args.oracle:
         oracle_value = dp_count(q)
         match = value == oracle_value
@@ -176,7 +180,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     paths = enumerate_paths(q)
     lines = [path.encode() for path in paths]
-    return _emit(args, "\n".join(lines), _query_parameters(q), lines, show_empty=bool(lines))
+    return _emit(args, "\n".join(lines), partial(_query_parameters, q), lines,
+                 show_empty=bool(lines))
 
 
 def _cmd_koroljuk(args: argparse.Namespace) -> int:
@@ -203,7 +208,7 @@ def _cmd_bohm(args: argparse.Namespace) -> int:
 def _cmd_niederhausen(args: argparse.Namespace) -> int:
     q = NiederhausenQuery(args.k, args.d, args.m, args.n)
     value = niederhausen(q)
-    return _emit(args, str(value), {"k": q.k, "d": str(q.d), "m": q.m, "n": q.n}, value)
+    return _emit(args, str(value), lambda: {"k": q.k, "d": str(q.d), "m": q.m, "n": q.n}, value)
 
 
 def _require_flags(args: argparse.Namespace, names: Sequence[str]) -> None:

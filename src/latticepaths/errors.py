@@ -12,6 +12,8 @@ in the one module that every other imports: the command line shows it in
 its help without loading ``identities``, which re-exports it.
 """
 
+from collections.abc import Callable
+
 DEFAULT_SEED = 7
 
 
@@ -23,7 +25,8 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed a hard work budget (enumeration steps or DP cells)."""
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise ValidationError(message) unless ``condition`` holds."""
+def require(condition: bool, message: str | Callable[[], str]) -> None:
+    """Raise ValidationError(message) unless ``condition`` holds; a message
+    given as a zero-argument function is built only then."""
     if not condition:
-        raise ValidationError(message)
+        raise ValidationError(message() if callable(message) else message)

@@ -163,10 +163,10 @@ def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
 
     Conditions: k >= 1, 0 <= a <= m, n >= k*m - r, max(0, k*a - r) <= b <= n.
     """
-    require(k >= 1, f"need k >= 1, got {k}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
-    require(max(0, k * a - r) <= b <= n, f"need max(0, k*a-r) <= b <= n, got b={b}")
+    require(k >= 1, lambda: f"need k >= 1, got {k}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(n >= k * m - r, lambda: f"need n >= k*m - r: {n} < {k * m - r}")
+    require(max(0, k * a - r) <= b <= n, lambda: f"need max(0, k*a-r) <= b <= n, got b={b}")
     return _unit_count(k, b + r + 1 - k * a, m - a, n - b)
 
 
@@ -178,11 +178,11 @@ def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
     slightly wider than b > max(0, k*a - r): b = 0 is fine when r > k*a.)
     Equals count_weak(k, r, a, b-1, m, n-1) whenever b >= 1.
     """
-    require(k >= 1, f"need k >= 1, got {k}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    require(b + r - k * a > 0, f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
-    require(n > k * m - r, f"end not strictly above the line: need n > k*m - r = {k * m - r}")
+    require(k >= 1, lambda: f"need k >= 1, got {k}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, lambda: f"need 0 <= b <= n, got b={b}, n={n}")
+    require(b + r - k * a > 0, lambda: f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
+    require(n > k * m - r, lambda: f"end not strictly above the line: need n > k*m - r = {k * m - r}")
     return _unit_count(k, b + r - k * a, m - a, n - b)
 
 
@@ -192,13 +192,13 @@ def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) ->
     Conditions: k >= 1, k*r integral, 0 <= a <= m,
     max(0, a/k - r) <= b <= n, n >= m/k - r.
     """
-    require(k >= 1, f"need k >= 1, got {k}")
+    require(k >= 1, lambda: f"need k >= 1, got {k}")
     kr = _k_times_r(k, r)
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(b >= 0, f"need b >= 0, got {b}")
-    require(k * b >= a - kr, f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
-    require(b <= n, f"need b <= n, got b={b}, n={n}")
-    require(k * n >= m - kr, f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(b >= 0, lambda: f"need b >= 0, got {b}")
+    require(k * b >= a - kr, lambda: f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
+    require(b <= n, lambda: f"need b <= n, got b={b}, n={n}")
+    require(k * n >= m - kr, lambda: f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
     return _unit_count(k, k * n + kr - m + 1, n - b, m - a)
 
 
@@ -208,12 +208,14 @@ def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) 
     Conditions: k >= 1, k*r integral, 0 <= a <= m, 0 <= b <= n with
     k*b + k*r - a > 0 (start strictly above), and k*n + k*r - m > 0.
     """
-    require(k >= 1, f"need k >= 1, got {k}")
+    require(k >= 1, lambda: f"need k >= 1, got {k}")
     kr = _k_times_r(k, r)
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    require(k * b + kr - a > 0, f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
-    require(k * n + kr - m > 0, f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, lambda: f"need 0 <= b <= n, got b={b}, n={n}")
+    require(k * b + kr - a > 0,
+            lambda: f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
+    require(k * n + kr - m > 0,
+            lambda: f"end not strictly above the line: k*n+k*r-m = {k * n + kr - m}")
     return _unit_count(k, k * n + kr - m, n - b, m - a)
 
 
@@ -223,19 +225,19 @@ def base_case(k: int, a: int, b: int, m: int, n: int) -> int:
     Conditions: k, m >= 1, 0 <= a <= m, 0 <= b <= n, n >= k*m, and
     0 <= b - k*a <= k.  Agrees with count_weak(k, 0, a, b, m, n) there.
     """
-    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, f"need 0 <= b <= n, got b={b}, n={n}")
-    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
-    require(0 <= b - k * a <= k, f"need 0 <= b - k*a <= k, got {b - k * a}")
+    require(k >= 1 and m >= 1, lambda: f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(0 <= b <= n, lambda: f"need 0 <= b <= n, got b={b}, n={n}")
+    require(n >= k * m, lambda: f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(0 <= b - k * a <= k, lambda: f"need 0 <= b - k*a <= k, got {b - k * a}")
     return _exact(binomial(m + n - (k + 1) * a, m - a), n + 1 - k * m, n + 1 - k * a)
 
 
 def ballot(k: int, m: int, n: int) -> int:
     """Generalized ballot count: C(m+n, m) - k*C(m+n, m-1), for n >= k*m."""
-    require(k >= 1, f"need k >= 1, got {k}")
-    require(m >= 0, f"need m >= 0, got {m}")
-    require(n >= k * m, f"need n >= k*m, got n={n}, k*m={k * m}")
+    require(k >= 1, lambda: f"need k >= 1, got {k}")
+    require(m >= 0, lambda: f"need m >= 0, got {m}")
+    require(n >= k * m, lambda: f"need n >= k*m, got n={n}, k*m={k * m}")
     return binomial(m + n, m) - k * binomial(m + n, m - 1)
 
 
@@ -245,8 +247,8 @@ def fuss_catalan(k: int, m: int) -> int:
     Equals count_weak(k-1, 0, 0, 0, m, (k-1)*m); order 2 gives the Catalan
     numbers.
     """
-    require(k >= 2, f"need k >= 2, got {k}")
-    require(m >= 0, f"need m >= 0, got {m}")
+    require(k >= 2, lambda: f"need k >= 2, got {k}")
+    require(m >= 0, lambda: f"need m >= 0, got {m}")
     return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
@@ -278,9 +280,10 @@ def niederhausen(q: NiederhausenQuery) -> int:
     """
     k, m, n, kd = q.k, q.m, q.n, q.kd
     require(kd >= (k - 1) * m,
-            f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}")
-    require(kd >= 1, f"origin not strictly above the line: need k*d >= 1, got {kd}")
-    require(n > k * m - kd, f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
+            lambda: f"outside the stated domain: need k*d >= (k-1)*m, got {kd} < {(k - 1) * m}")
+    require(kd >= 1, lambda: f"origin not strictly above the line: need k*d >= 1, got {kd}")
+    require(n > k * m - kd,
+            lambda: f"end not strictly above the line: need n > k*m - k*d = {k * m - kd}")
     return _unit_count(k, kd, m, n)
 
 

@@ -181,11 +181,11 @@ def recurrence_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckRep
     the first quadrant (tuples with b - k < 0 are rejected).  When a = m the
     right-neighbor family is empty and the translated term is 0.
     """
-    require(k >= 1 and m >= 1, f"need k, m >= 1, got k={k}, m={m}")
-    require(0 <= a <= m, f"need 0 <= a <= m, got a={a}, m={m}")
-    require(n >= k * m - r, f"need n >= k*m - r: {n} < {k * m - r}")
-    require(k * (a + 1) - r <= b <= n - 1, f"need k*(a+1) - r <= b <= n - 1, got b={b}")
-    require(b >= k, f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
+    require(k >= 1 and m >= 1, lambda: f"need k, m >= 1, got k={k}, m={m}")
+    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    require(n >= k * m - r, lambda: f"need n >= k*m - r: {n} < {k * m - r}")
+    require(k * (a + 1) - r <= b <= n - 1, lambda: f"need k*(a+1) - r <= b <= n - 1, got b={b}")
+    require(b >= k, lambda: f"translated start ordinate b - k must be >= 0, got b={b}, k={k}")
     start_up = count_weak(k, r, a, b + 1, m, n)
     start = count_weak(k, r, a, b, m, n)
     start_right = count_weak(k, r, a, b - k, m - 1, n - k) if a <= m - 1 else 0
@@ -204,7 +204,7 @@ def shift_check(k: int, r: int, a: int, b: int, m: int, n: int) -> CheckReport:
 
     Conditions: the strict evaluator's block with b >= 1.
     """
-    require(b >= 1, f"need b >= 1, got {b}")
+    require(b >= 1, lambda: f"need b >= 1, got {b}")
     strict = count_strict(k, r, a, b, m, n)
     weak = count_weak(k, r, a, b - 1, m, n - 1)
     return CheckReport(

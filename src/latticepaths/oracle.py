@@ -24,8 +24,9 @@ tabulation holds the count to every end point of the map from one start:
 ``dp_count`` and ``count_stepset`` keep only the far corner (O(height)
 memory), and the private reader ``_table`` copies every column out for
 the verification sweeps.  ``enumerate_paths`` and ``enumerate_stepset``
-wrap each word as a ``LatticePath``, and the private reader ``_words``
-hands the bare words to the bijection sweeps.
+wrap each word as a ``LatticePath``, and the private reader ``_keys``
+hands the bijection sweeps each path as its (start, word) key, the start
+being the one ``_map`` gives the family.
 
 Listings visit the members one by one and refuse more than
 MAX_ENUMERATION_STEPS steps (a listing stays under roughly 17 million
@@ -167,9 +168,10 @@ def _table(q: PathQuery | KoroljukQuery | BohmQuery) -> list[list[int]]:
     return [col[:] for col in _columns(*_map(q)[:3])]
 
 
-def _words(q: PathQuery | KoroljukQuery | BohmQuery) -> Iterator[str]:
-    """The words of q's listing, in its order."""
-    return _walk(*_map(q)[:4])
+def _keys(q: PathQuery | KoroljukQuery | BohmQuery) -> list[tuple[tuple[int, int], str]]:
+    """The (start, word) keys of q's listing, in its order."""
+    width, height, lo, letters, start, _, _ = _map(q)
+    return [(start, word) for word in _walk(width, height, lo, letters)]
 
 
 def _listing(q, kinds: tuple[type, ...]) -> list[LatticePath]:

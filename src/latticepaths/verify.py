@@ -2,12 +2,17 @@
 programming for counts, exhaustive enumeration for listings), identity
 grids, and bijection suites.
 
-Every sweep returns a ``SweepSummary`` (checks run, failures, first
-counterexample) and is a plain loop over one parameter grid.  Unit-path
-grids are boxes of columns (a, m) and rows (b, n), a <= m and b <= n; the
-sweeps that need boundary-valid queries keep the tuples whose b and n reach
-``min_ordinate_above`` at a and m, with the line's integer form taken once
-per line.  Sweeps that check many end points of one line, mode and start
+Every sweep is a plain loop over one parameter grid that yields its
+checks, each an (ok, describe) pair or a ``CheckReport``.  One decorator,
+``_sweep``, tallies them into the ``SweepSummary`` (checks run, failures,
+first counterexample) that the sweep returns; it calls the describe
+function of the first failure at once, while the loop's variables still
+name that instance.
+
+Unit-path grids are boxes of columns (a, m) and rows (b, n), a <= m and
+b <= n; the sweeps that need boundary-valid queries keep the tuples whose
+b and n reach ``min_ordinate_above`` at a and m, with the line's integer
+form taken once per line.  Sweeps that check many end points of one line, mode and start
 (``formula_oracle_sweep``, ``cross_formula_sweep``, the census of
 ``complement_sweep``) read their oracle values from one tabulation of that
 line and start (``oracle._table``), built when its first query needs it
@@ -25,10 +30,10 @@ mirror the command line and merge the summaries of the sweeps they run:
 * ``run_bijections``: image membership, injectivity, cardinality, and round
   trips for every path transform on exhaustively enumerated small instances;
   a map that rejects its input counts as a failed check.  The suites never
-  build a ``LatticePath``: they take each family's words from the oracle's
-  walker (``oracle._words``), key each path as (start, word), and call the
-  word-level cores that the public maps wrap (``bijections._drop_one`` for
-  ``drop_one``, and so on), each built once per line or per case.
+  build a ``LatticePath``: they take each family's (start, word) keys from
+  the oracle's walker (``oracle._keys``) and call the word-level cores that
+  the public maps wrap (``bijections._drop_one`` for ``drop_one``, and so
+  on), each built once per line or per case.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, wraps
 from itertools import groupby, product
 from operator import attrgetter, itemgetter
 
@@ -86,7 +91,7 @@ from .model import (
     normalize_intercept,
     strictness_insensitive,
 )
-from .oracle import _table, _words, count_stepset, dp_count
+from .oracle import _keys, _table, count_stepset, dp_count
 
 
 @partial(_record_class, frozen=False)
@@ -124,8 +129,24 @@ class SweepSummary:
         return text
 
 
-def _record(summary: SweepSummary, report: CheckReport) -> None:
-    summary.record(report.ok, report.line)
+_Check = tuple[bool, "str | Callable[[], str]"] | CheckReport
+
+
+def _sweep(checks: Callable[..., Iterable[_Check]]) -> Callable[..., SweepSummary]:
+    """The sweep that tallies each check that ``checks`` yields as it comes,
+    so a failure's describe function reads the variables that name it."""
+
+    @wraps(checks)
+    def sweep(*args, **kwargs) -> SweepSummary:
+        summary = SweepSummary()
+        record = summary.record
+        for check in checks(*args, **kwargs):
+            if isinstance(check, CheckReport):
+                check = check.ok, check.line
+            record(*check)
+        return summary
+
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +181,13 @@ def _describe_query(q: PathQuery) -> str:
     return f"{q.strictness.value} ({q.a},{q.b})->({q.m},{q.n}) above {q.boundary.describe()}"
 
 
-def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
+@_sweep
+def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> Iterator[_Check]:
     """The four closed-form evaluators against the oracle over the dense grid:
     slopes k and 1/k for k = 1..max_k, both strictness modes, every
     boundary-valid query.  The oracle counts of one line and mode come from
     one table per start, reaching the box's far corner (max_extent-2,
     max_extent)."""
-    summary = SweepSummary()
     columns, rows = _box(max_extent)
     for k, r, kind, strictness in product(range(1, max_k + 1), _INTERCEPTS, SlopeKind, Strictness):
         line = BoundaryLine(kind, k, r)
@@ -177,27 +198,22 @@ def formula_oracle_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
             q = PathQuery(a, b, m, n, line, strictness)
             expected = table(a, b)[m - a][n - b]
             got = _evaluate(q)
-            summary.record(
-                got == expected,
-                lambda q=q, got=got, expected=expected: (
-                    f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
-                ),
+            yield got == expected, lambda: (
+                f"formula-vs-oracle {_describe_query(q)}: formula {got}, oracle {expected}"
             )
-    return summary
 
 
-def recurrence_shift_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
+@_sweep
+def recurrence_shift_sweep(max_k: int = 3, max_extent: int = 8) -> Iterator[_Check]:
     """The first-step recurrence and the strict-to-weak shift identity on
     every tuple of the acceptance grid satisfying their condition blocks."""
-    summary = SweepSummary()
     columns, rows = _box(max_extent)
     for k, r in product(range(1, max_k + 1), _INTERCEPTS):
         for (a, m), (b, n) in product(columns, rows):
             if m >= 1 and n >= k * m - r and max(k * (a + 1) - r, k) <= b <= n - 1:
-                _record(summary, recurrence_check(k, r, a, b, m, n))
+                yield recurrence_check(k, r, a, b, m, n)
             if b >= 1 and b + r - k * a > 0 and n > k * m - r:
-                _record(summary, shift_check(k, r, a, b, m, n))
-    return summary
+                yield shift_check(k, r, a, b, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +236,11 @@ def _intercept_cases(line: BoundaryLine) -> Iterator[tuple[int, int, int, int]]:
         yield 0, b, m, max(b, floor(m)) + 2
 
 
-def intercept_normalization_sweep() -> SweepSummary:
+@_sweep
+def intercept_normalization_sweep() -> Iterator[_Check]:
     """For 20 non-integral intercepts: the weak and strict oracle counts
     coincide, match the oracle count under the snapped intercept, and match
     the closed form routed through the totalizing wrapper."""
-    summary = SweepSummary()
     for r in NON_INTEGER_INTERCEPTS:
         lines = (integer_slope(2, r), inverse_slope(2, r), inverse_slope(3, r))
         for line in filter(strictness_insensitive, lines):
@@ -240,14 +256,9 @@ def intercept_normalization_sweep() -> SweepSummary:
                     "weak closed form": count(weak_q),
                     "strict closed form": count(strict_q),
                 }
-                distinct = set(values.values())
-                summary.record(
-                    len(distinct) == 1,
-                    lambda weak_q=weak_q, values=values: (
-                        f"intercept normalization {_describe_query(weak_q)}: {values}"
-                    ),
+                yield len(set(values.values())) == 1, lambda: (
+                    f"intercept normalization {_describe_query(weak_q)}: {values}"
                 )
-    return summary
 
 
 def run_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
@@ -268,65 +279,53 @@ def run_sweep(max_k: int = 3, max_extent: int = 8) -> SweepSummary:
 KOROLJUK_GRID = tuple(product((1, 2, 3), range(1, 9), range(1, 9), range(1, 5)))  # (p, c, m, n)
 
 
-def koroljuk_equality_sweep() -> SweepSummary:
+@_sweep
+def koroljuk_equality_sweep() -> Iterator[_Check]:
     """Literal and reduced walk-intersection sums agree across the grid."""
-    summary = SweepSummary()
     for p, c, m, n in KOROLJUK_GRID:
         q = KoroljukQuery(p, c, m, n)
-        literal = koroljuk_literal(q)
-        reduced = koroljuk_reduced(q)
-        summary.record(
-            literal == reduced,
-            lambda q=q, literal=literal, reduced=reduced: (
-                f"koroljuk forms p={q.p} c={q.c} m={q.m} n={q.n}: "
-                f"literal {literal}, reduced {reduced}"
-            ),
+        literal, reduced = koroljuk_literal(q), koroljuk_reduced(q)
+        yield literal == reduced, lambda: (
+            f"koroljuk forms p={p} c={c} m={m} n={n}: literal {literal}, reduced {reduced}"
         )
-    return summary
 
 
-def complement_sweep(max_census_steps: int = 10) -> SweepSummary:
+@_sweep
+def complement_sweep(max_census_steps: int = 10) -> Iterator[_Check]:
     """total = intersecting + avoiding across the walk grid, with both
     components independently confirmed by the step-by-step census on
     instances of at most ``max_census_steps`` steps."""
-    summary = SweepSummary()
     for (p, c), group in groupby(KOROLJUK_GRID, itemgetter(0, 1)):
         group = list(group)
         corner = KoroljukQuery(p, c, max(m for _, _, m, _ in group), max(n for *_, n in group))
         census = cache(lambda: _table(corner))
         for _, _, m, n in group:
             report = complement_check(p, c, m, n)
-            _record(summary, report)
+            yield report
             if m + n <= max_census_steps:
                 avoiding = census()[m][n]
                 intersecting = math.comb(m + n, n) - avoiding
-                summary.record(
-                    avoiding == report.values["avoiding"]
-                    and intersecting == report.values["intersecting"],
-                    lambda report=report, avoiding=avoiding, intersecting=intersecting: (
-                        f"census disagrees with {report.line()}: "
-                        f"avoiding {avoiding}, intersecting {intersecting}"
-                    ),
+                counted = report.values["avoiding"], report.values["intersecting"]
+                yield counted == (avoiding, intersecting), lambda: (
+                    f"census disagrees with {report.line()}: "
+                    f"avoiding {avoiding}, intersecting {intersecting}"
                 )
-    return summary
 
 
-def hagen_rothe_sweep(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary:
+@_sweep
+def hagen_rothe_sweep(trials: int = 1000, seed: int = DEFAULT_SEED) -> Iterator[_Check]:
     """Seeded random convolution-identity checks."""
     rng = random.Random(seed)
-    summary = SweepSummary()
     for _ in range(trials):
-        _record(summary, hagen_rothe_check(random_hagen_rothe(rng)))
-    return summary
+        yield hagen_rothe_check(random_hagen_rothe(rng))
 
 
-def upper_negation_sweep(pairs: int = 500, seed: int = DEFAULT_SEED) -> SweepSummary:
+@_sweep
+def upper_negation_sweep(pairs: int = 500, seed: int = DEFAULT_SEED) -> Iterator[_Check]:
     """Seeded random upper-negation checks."""
     rng = random.Random(seed)
-    summary = SweepSummary()
     for _ in range(pairs):
-        _record(summary, upper_negation_check(*random_upper_negation(rng)))
-    return summary
+        yield upper_negation_check(*random_upper_negation(rng))
 
 
 def _niederhausen_grid() -> Iterator[NiederhausenQuery]:
@@ -342,12 +341,12 @@ def _bohm_grid() -> Iterator[BohmQuery]:
             yield BohmQuery(rise, start_alt, end_alt, ups)
 
 
-def cross_formula_sweep() -> SweepSummary:
+@_sweep
+def cross_formula_sweep() -> Iterator[_Check]:
     """The two specialized counts against both origin-form sums, each called
     by name, and the step-by-step census.  For each k, the oracle values
     come from one unit-path table per k*d and one walk census per c; for the
     altitude walks, from one census per (rise, start)."""
-    summary = SweepSummary()
     for k, group in groupby(_niederhausen_grid(), attrgetter("k")):
         group = list(group)
         top_m, top_n = max(q.m for q in group), max(q.n for q in group)
@@ -357,23 +356,17 @@ def cross_formula_sweep() -> SweepSummary:
         walk_table = cache(lambda c: _table(KoroljukQuery(k, c, top_n, top_m)))
         for q in group:
             report = niederhausen_forms_check(q)
-            _record(summary, report)
+            yield report
             value = report.values["subtracted"]
-            summary.record(
-                unit_table(q.kd)[q.m][q.n] == value,
-                lambda q=q, value=value: (
-                    f"oracle disagrees with strict count k={q.k} d={q.d} m={q.m} n={q.n} = {value}"
-                ),
+            yield unit_table(q.kd)[q.m][q.n] == value, lambda: (
+                f"oracle disagrees with strict count k={q.k} d={q.d} m={q.m} n={q.n} = {value}"
             )
             c = q.n - q.k * q.m + q.kd
             if q.m >= 1:
                 avoiding = walk_table(c)[q.n][q.m]
-                summary.record(
-                    avoiding == value,
-                    lambda q=q, value=value, avoiding=avoiding: (
-                        f"walk census disagrees with strict count k={q.k} d={q.d} "
-                        f"m={q.m} n={q.n}: {avoiding} vs {value}"
-                    ),
+                yield avoiding == value, lambda: (
+                    f"walk census disagrees with strict count k={q.k} d={q.d} "
+                    f"m={q.m} n={q.n}: {avoiding} vs {value}"
                 )
     for (rise, start_alt), group in groupby(_bohm_grid(), attrgetter("rise", "start_alt")):
         group = list(group)
@@ -384,15 +377,11 @@ def cross_formula_sweep() -> SweepSummary:
             avoiding = _avoiding(*origin_form)
             subtracted = math.comb(q.ups + q.down_steps, q.ups) - _touching(*origin_form)
             census = table[q.down_steps][q.ups]
-            summary.record(
-                value == avoiding == subtracted == census,
-                lambda q=q, value=value, avoiding=avoiding, subtracted=subtracted, census=census: (
-                    f"altitude-walk forms rise={q.rise} start={q.start_alt} "
-                    f"end={q.end_alt} ups={q.ups}: bohm {value}, alternating sum {avoiding}, "
-                    f"subtracted form {subtracted}, census {census}"
-                ),
+            yield value == avoiding == subtracted == census, lambda: (
+                f"altitude-walk forms rise={q.rise} start={q.start_alt} "
+                f"end={q.end_alt} ups={q.ups}: bohm {value}, alternating sum {avoiding}, "
+                f"subtracted form {subtracted}, census {census}"
             )
-    return summary
 
 
 def run_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary:
@@ -413,47 +402,31 @@ def run_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> SweepSummary
 _UNIT = StepSet.unit()
 
 
-def _keys(start: tuple[int, int], words: Iterable[str]) -> list[_Key]:
-    return [(start, word) for word in words]
-
-
 def _check_bijection(
-    summary: SweepSummary,
     label: str,
     source: Sequence[_Key],
     target: Sequence[_Key],
     forward: Callable[..., _Key],
     backward: Callable[..., _Key],
-) -> None:
-    """Record the four bijection properties plus the reverse round trip of
-    the cores ``forward`` and ``backward`` on the (start, word) keys of the
-    two families.  A core that rejects its input ends the case with one
-    failed check."""
+) -> Iterator[_Check]:
+    """The four bijection properties plus the reverse round trip of the
+    cores ``forward`` and ``backward`` on the (start, word) keys of the two
+    families.  A core that rejects its input ends the case with one failed
+    check."""
     target_keys = set(target)
     try:
         images = [forward(*key) for key in source]
-        summary.record(
-            target_keys.issuperset(images),
-            lambda: f"{label}: some image leaves the target family",
+        yield target_keys.issuperset(images), lambda: f"{label}: some image leaves the target family"
+        yield len(set(images)) == len(images), lambda: f"{label}: transform is not injective"
+        yield len(source) == len(target), lambda: (
+            f"{label}: |source| {len(source)} != |target| {len(target)}"
         )
-        summary.record(
-            len(set(images)) == len(images),
-            lambda: f"{label}: transform is not injective",
-        )
-        summary.record(
-            len(source) == len(target),
-            lambda: f"{label}: |source| {len(source)} != |target| {len(target)}",
-        )
-        summary.record(
-            all(backward(*image) == key for image, key in zip(images, source)),
-            lambda: f"{label}: inverse does not undo the transform",
-        )
-        summary.record(
-            all(forward(*backward(*key)) == key for key in target),
-            lambda: f"{label}: transform does not undo the inverse",
-        )
+        undone = all(backward(*image) == key for image, key in zip(images, source))
+        yield undone, lambda: f"{label}: inverse does not undo the transform"
+        undone = all(forward(*backward(*key)) == key for key in target)
+        yield undone, lambda: f"{label}: transform does not undo the inverse"
     except ValidationError as exc:
-        summary.record(False, f"{label}: a map rejected its input: {exc}")
+        yield False, f"{label}: a map rejected its input: {exc}"
 
 
 def _bijection_cases(max_steps: int) -> Iterator[tuple]:
@@ -469,10 +442,10 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         rows = [(b, n) for b in b_range for n in range(b, b + height)]
         for a, b, m, n in _above_floors(line, strictness, columns, rows):
             if (m - a) + (n - b) <= max_steps:
-                yield a, b, m, n, _keys((a, b), _words(PathQuery(a, b, m, n, line, strictness)))
+                yield a, b, m, n, _keys(PathQuery(a, b, m, n, line, strictness))
 
     def weak(a: int, b: int, m: int, n: int, line: BoundaryLine) -> list[_Key]:
-        return _keys((a, b), _words(PathQuery(a, b, m, n, line, Strictness.WEAK)))
+        return _keys(PathQuery(a, b, m, n, line, Strictness.WEAK))
 
     for k, r in product((1, 2), range(0, 4)):
         line = integer_slope(k, r)
@@ -503,27 +476,25 @@ def _bijection_cases(max_steps: int) -> Iterator[tuple]:
         target_line = integer_slope(q.rise, q.end_alt)
         yield (
             f"bohm-to-unit rise={q.rise} start={q.start_alt} end={q.end_alt} ups={q.ups}",
-            _keys((0, q.start_alt), _words(q)),
-            _keys((0, 0), _words(
-                PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)
-            )),
+            _keys(q),
+            _keys(PathQuery(0, 0, q.ups, q.down_steps, target_line, Strictness.STRICT)),
             _bohm_to_unit(StepSet.bohm(q.rise)),
             _unit_to_bohm(_UNIT, q.rise, q.end_alt),
         )
 
 
-def _walk_sweep(max_steps: int) -> SweepSummary:
-    """Walk-family transforms: to the unit family, to the altitude family,
-    and the composite-route consistency check, which runs two steps beyond
-    ``max_steps``."""
-    summary = SweepSummary()
-    composite_steps = max_steps + 2
+@_sweep
+def run_bijections(max_steps: int = 10) -> Iterator[_Check]:
+    """All transform suites on instances of at most ``max_steps`` steps; the
+    composite-route consistency check runs two steps beyond that."""
+    # The walk families first: to the unit family, to the altitude family,
+    # and the composite route through the altitude family.
     for p, c, m, n in KOROLJUK_GRID:
-        if c > 5 or m + n > composite_steps:
+        if c > 5 or m + n > max_steps + 2:
             continue
         case = f"p={p} c={c} m={m} n={n}"
         walk_q = KoroljukQuery(p, c, m, n)
-        walks = _keys((0, 0), _words(walk_q))
+        walks = _keys(walk_q)
         walk_steps, altitude_steps = StepSet.koroljuk(p), StepSet.bohm(p)
         to_unit, rotate = _koroljuk_to_unit(walk_steps, c), _bohm_rotate(walk_steps, c)
         v = c + p * n - m
@@ -531,46 +502,22 @@ def _walk_sweep(max_steps: int) -> SweepSummary:
             rotated_to_unit = _bohm_to_unit(altitude_steps)
             same = all(rotated_to_unit(*rotate(*w)) == to_unit(*w) for w in walks)
         except ValidationError as exc:
-            summary.record(False, f"composite route {case}: a map rejected its input: {exc}")
+            yield False, f"composite route {case}: a map rejected its input: {exc}"
         else:
-            summary.record(same, lambda: f"composite route differs from the direct map {case}")
+            yield same, lambda: f"composite route differs from the direct map {case}"
         if m + n > max_steps:
             continue
-        split = count_stepset(walk_q)
-        summary.record(
-            split.avoiding == len(walks),
-            lambda: f"walk census {case}: {split.avoiding} vs {len(walks)} enumerated",
-        )
+        census = count_stepset(walk_q).avoiding
+        yield census == len(walks), lambda: f"walk census {case}: {census} vs {len(walks)} enumerated"
         if v >= 1:
-            unit_q = PathQuery(0, 0, n, m, integer_slope(p, v), Strictness.STRICT)
-            _check_bijection(
-                summary,
-                f"koroljuk-to-unit {case}",
-                walks,
-                _keys((0, 0), _words(unit_q)),
-                to_unit,
-                _unit_to_koroljuk(_UNIT, p, c),
-            )
-            _check_bijection(
-                summary,
-                f"bohm-rotate {case}",
-                walks,
-                _keys((0, c), _words(BohmQuery(p, c, v, n))),
-                rotate,
-                _bohm_unrotate(altitude_steps, c),
-            )
+            units = _keys(PathQuery(0, 0, n, m, integer_slope(p, v), Strictness.STRICT))
+            to_walk = _unit_to_koroljuk(_UNIT, p, c)
+            yield from _check_bijection(f"koroljuk-to-unit {case}", walks, units, to_unit, to_walk)
+            altitudes, unrotate = _keys(BohmQuery(p, c, v, n)), _bohm_unrotate(altitude_steps, c)
+            yield from _check_bijection(f"bohm-rotate {case}", walks, altitudes, rotate, unrotate)
         else:
-            summary.record(
-                not walks,
-                lambda: f"avoiding walks exist below the feasibility line {case}: {len(walks)}",
+            yield not walks, lambda: (
+                f"avoiding walks exist below the feasibility line {case}: {len(walks)}"
             )
-    return summary
-
-
-def run_bijections(max_steps: int = 10) -> SweepSummary:
-    """All transform suites on instances of at most ``max_steps`` steps; the
-    composite-route consistency check runs two steps beyond that."""
-    summary = _walk_sweep(max_steps)
     for case in _bijection_cases(max_steps):
-        _check_bijection(summary, *case)
-    return summary
+        yield from _check_bijection(*case)

@@ -73,6 +73,21 @@ def _callers(module_file, name):
     }
 
 
+def test_every_precondition_message_is_built_only_on_failure():
+    # A message holding k*m - r of a huge intercept costs more than the count,
+    # and past 4300 digits Python refuses to format it: each require in the
+    # evaluators and the identity checks passes a function, not an f-string.
+    for module_file in ("formulas.py", "identities.py"):
+        tree = ast.parse((Path(latticepaths.__file__).parent / module_file).read_text())
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require"
+        ]
+        assert calls, module_file
+        for call in calls:
+            assert isinstance(call.args[1], ast.Lambda), (module_file, call.lineno)
+
+
 def test_two_route_rule_holds_in_the_imports():
     # The oracle imports nothing from formulas; its queries live in the model.
     assert "formulas" not in _imports("oracle.py")

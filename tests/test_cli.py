@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from latticepaths import cli
 from latticepaths.cli import main
 
 
@@ -154,6 +155,29 @@ def test_count_huge_intercept_small_rectangle(capsys):
                        "--to", "2,3", "--weak")
     assert code == 0
     assert out == "10\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("count", "--slope", "1", "--to", "3,3", "--weak", "--intercept", "100"), "20\n"),
+    (("enumerate", "--slope", "1", "--to", "1,1", "--weak", "--intercept", "1"), "HV\nVH\n"),
+])
+def test_query_parameters_are_built_only_for_json(capsys, monkeypatch, argv, out):
+    # str() of a huge intercept costs more than the count itself; only the
+    # JSON document prints the parameters.
+    built = []
+    query_parameters = cli._query_parameters
+    monkeypatch.setattr(cli, "_query_parameters", lambda q: built.append(q) or query_parameters(q))
+    assert run(capsys, *argv) == (0, out, "")
+    assert built == []
+    code, json_out, _ = run(capsys, *argv, "--json")
+    assert (code, len(built)) == (0, 1)
+    assert json.loads(json_out)["parameters"] == query_parameters(built[0])
+
+
+def test_niederhausen_huge_offset(capsys):
+    assert run(capsys, "niederhausen", "--k", "1", "--d", "1e100000", "--m", "3", "--n", "3") == (
+        0, "20\n", ""
+    )
 
 
 @pytest.mark.parametrize("spaced, joined, out", [

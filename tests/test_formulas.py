@@ -40,6 +40,7 @@ from latticepaths import (
     validate_query,
 )
 from latticepaths import formulas
+from latticepaths.errors import require
 from latticepaths.formulas import _avoiding, _ballot_sum, _exact, _finish, _touching
 from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
 
@@ -613,3 +614,23 @@ def test_precondition_messages_off_the_count_path(call, message):
     with pytest.raises(ValidationError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_require_builds_a_function_message_only_on_failure():
+    require(True, lambda: pytest.fail("a passing check built its message"))
+    with pytest.raises(ValidationError) as caught:
+        require(False, lambda: "built")
+    assert str(caught.value) == "built"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count(PathQuery(0, 0, 3, 3, integer_slope(1, 10**5000), Strictness.WEAK)),
+    lambda: count_weak(1, 10**5000, 0, 0, 3, 3),
+    lambda: count_strict_inv(2, 10**5000, 0, 0, 3, 3),
+    lambda: niederhausen(NiederhausenQuery(1, 10**5000, 3, 3)),
+], ids=["count", "count_weak", "count_strict_inv", "niederhausen"])
+def test_a_huge_intercept_passes_the_preconditions(call):
+    # 10**5000 has more digits than Python's default int-to-str limit (4300,
+    # from 3.11 on), so a precondition that formatted its message before
+    # testing would raise ValueError here.
+    assert call() == 20

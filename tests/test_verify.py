@@ -1,6 +1,7 @@
 """Pinned check counts of the verification sweeps, and sweeps that must
 report a deliberately broken route."""
 
+import inspect
 import tracemalloc
 from itertools import product
 
@@ -24,6 +25,7 @@ from latticepaths import (
     recurrence_shift_sweep,
     run_bijections,
     run_identities,
+    run_sweep,
     upper_negation_sweep,
     validate_query,
 )
@@ -53,6 +55,28 @@ from latticepaths.cli import main
 def test_sweep_check_counts(sweep, args, checks):
     summary = sweep(*args)
     assert (summary.checks, summary.failures, summary.first_failure) == (checks, 0, None)
+
+
+@pytest.mark.parametrize("sweep, parameters", [
+    (formula_oracle_sweep, [("max_k", 3), ("max_extent", 8)]),
+    (recurrence_shift_sweep, [("max_k", 3), ("max_extent", 8)]),
+    (intercept_normalization_sweep, []),
+    (run_sweep, [("max_k", 3), ("max_extent", 8)]),
+    (koroljuk_equality_sweep, []),
+    (complement_sweep, [("max_census_steps", 10)]),
+    (hagen_rothe_sweep, [("trials", 1000), ("seed", 7)]),
+    (upper_negation_sweep, [("pairs", 500), ("seed", 7)]),
+    (cross_formula_sweep, []),
+    (run_identities, [("trials", 1000), ("seed", 7)]),
+    (run_bijections, [("max_steps", 10)]),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_sweep_signatures(sweep, parameters):
+    # The tally wraps each sweep's generator of checks; the public function
+    # keeps the generator's parameters, defaults and docstring.
+    signature = inspect.signature(sweep)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == parameters
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+    assert sweep.__doc__
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -88,24 +112,33 @@ def _off_by_one(monkeypatch, kind):
     monkeypatch.setattr(verify_module, "_table", wrong)
 
 
+# The failure tests below pin the whole first message: the tally describes a
+# failure as it is yielded, so the message names the first failing instance,
+# not one that a later loop pass left in the describe function's variables.
+
+
 def test_formula_oracle_sweep_reports_a_wrong_oracle(monkeypatch):
     _off_by_one(monkeypatch, PathQuery)
     summary = formula_oracle_sweep(1, 3)
     _assert_reports_failures(summary)
-    assert summary.first_failure.startswith("formula-vs-oracle")
+    assert summary.first_failure == (
+        "formula-vs-oracle weak (0,2)->(0,2) above y = 1*x - (-2): formula 1, oracle 2"
+    )
 
 
-@pytest.mark.parametrize("kind, label", [
-    pytest.param(PathQuery, "oracle disagrees with strict count k=1 ", id="PathQuery"),
-    pytest.param(KoroljukQuery, "walk census disagrees with strict count k=1 ", id="KoroljukQuery"),
+@pytest.mark.parametrize("kind, message", [
+    pytest.param(PathQuery, "oracle disagrees with strict count k=1 d=1 m=0 n=1 = 1",
+                 id="PathQuery"),
+    pytest.param(KoroljukQuery, "walk census disagrees with strict count k=1 d=1 m=1 n=1: 2 vs 1",
+                 id="KoroljukQuery"),
     pytest.param(BohmQuery, "altitude-walk forms rise=1 start=1 end=1 ups=0: bohm 1, "
                  "alternating sum 1, subtracted form 1, census 2", id="BohmQuery"),
 ])
-def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, kind, label):
+def test_cross_formula_sweep_reports_a_wrong_oracle_table(monkeypatch, kind, message):
     _off_by_one(monkeypatch, kind)
     summary = cross_formula_sweep()
     _assert_reports_failures(summary)
-    assert summary.first_failure.startswith(label)
+    assert summary.first_failure == message
 
 
 def test_the_altitude_walk_record_runs_both_sums(monkeypatch, kernel_calls):
@@ -137,7 +170,10 @@ def test_complement_sweep_reports_a_wrong_census(monkeypatch):
     _off_by_one(monkeypatch, KoroljukQuery)
     summary = complement_sweep(5)
     _assert_reports_failures(summary)
-    assert summary.first_failure.startswith("census disagrees with pass complement: p=1 c=1 m=1 n=1")
+    assert summary.first_failure == (
+        "census disagrees with pass complement: p=1 c=1 m=1 n=1 -> total=2 intersecting=1 "
+        "avoiding=1: avoiding 2, intersecting 0"
+    )
 
 
 def test_recurrence_shift_sweep_reports_a_wrong_weak_count(monkeypatch):
@@ -160,7 +196,7 @@ def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
     monkeypatch.setattr(verify_module, "_drop_one", lambda step_set, line: _lifted)
     summary = run_bijections(2)
     _assert_reports_failures(summary)
-    assert summary.first_failure.startswith("drop-one")
+    assert summary.first_failure == "drop-one k=1 r=0 (0,1)->(0,1): some image leaves the target family"
 
 
 @pytest.mark.parametrize("name, wrong_inverse, label", [
