@@ -108,20 +108,22 @@ def _translate(
 ):
     """The core moving unit paths above an integer-slope line by ``shift``.
     Family checks: the step set, the line kind and, when ``integral``, the
-    intercept.  Per path: each (axis, least, text) of ``floors`` bounds the
+    intercept.  Per path: each (axis, least, label) of ``floors`` bounds the
     start's coordinate on that axis, then membership."""
     _require_unit(step_set)
-    require(line.kind is SlopeKind.INTEGER, f"{name} works above integer-slope lines")
-    require(not integral or line.r.denominator == 1, f"{name} needs an integral intercept")
+    require(line.kind is SlopeKind.INTEGER, lambda: f"{name} works above integer-slope lines")
+    require(not integral or line.r.denominator == 1, lambda: f"{name} needs an integral intercept")
     member = _above(
         step_set, line._form(strictness), f"input path is not {strictness.value}ly above the line"
     )
     dx, dy = shift
 
     def core(start: _Point, word: str) -> _Key:
-        for axis, least, text in floors:
+        for axis, least, label in floors:
             if start[axis] < least:
-                raise ValidationError(f"start {_AXES[axis]} must be >= {text}, got {start[axis]}")
+                raise ValidationError(
+                    f"start {_AXES[axis]} must be >= {label}{least}, got {start[axis]}"
+                )
         member(start, word)
         return (start[0] + dx, start[1] + dy), word
 
@@ -129,7 +131,7 @@ def _translate(
 
 
 def _drop_one(step_set: StepSet, line: BoundaryLine):
-    return _translate(step_set, line, "drop_one", Strictness.STRICT, (0, -1), True, ((1, 1, "1"),))
+    return _translate(step_set, line, "drop_one", Strictness.STRICT, (0, -1), True, ((1, 1, ""),))
 
 
 def drop_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
@@ -154,7 +156,7 @@ def raise_one(path: LatticePath, line: BoundaryLine) -> LatticePath:
 def _lemma_translate(step_set: StepSet, line: BoundaryLine):
     return _translate(
         step_set, line, "lemma_translate", Strictness.WEAK, (-1, -line.k),
-        floors=((0, 1, "1"), (1, line.k, f"k = {line.k}")),
+        floors=((0, 1, ""), (1, line.k, "k = ")),
     )
 
 
@@ -244,7 +246,7 @@ def _avoiding(step_set: StepSet, c: int):
     """The family checks of walks with steps (1,1)/(-p,1) avoiding x = c, and
     the per-path check x <= c - 1, the form (0, 1, c - 1)."""
     require(step_set.kind is StepKind.KOROLJUK, "transform expects a (1,1)/(-p,1) walk")
-    require(c >= 1, f"the avoided line x = c needs c >= 1, got {c}")
+    require(c >= 1, lambda: f"the avoided line x = c needs c >= 1, got {c}")
     return _above(step_set, (0, 1, c - 1), lambda level: (
         f"walk touches or crosses x = {c} at abscissa {c - 1 - level}"
     ))
@@ -253,7 +255,7 @@ def _avoiding(step_set: StepSet, c: int):
 def _positive(step_set: StepSet, name: str):
     """The family check of the altitude walks of transform ``name``, and the
     per-path check altitude >= 1, the form (1, 0, -1)."""
-    require(step_set.kind is StepKind.BOHM, f"{name} expects an altitude walk")
+    require(step_set.kind is StepKind.BOHM, lambda: f"{name} expects an altitude walk")
     return _above(step_set, (1, 0, -1), lambda level: f"walk drops to altitude {level + 1} < 1")
 
 
@@ -291,8 +293,8 @@ def koroljuk_to_unit(path: LatticePath, c: int) -> LatticePath:
 
 def _unit_to_koroljuk(step_set: StepSet, p: int, c: int, intercept: int | None = None):
     _require_unit(step_set)
-    require(p >= 1, f"need p >= 1, got {p}")
-    require(c >= 1, f"need c >= 1, got {c}")
+    require(p >= 1, lambda: f"need p >= 1, got {p}")
+    require(c >= 1, lambda: f"need c >= 1, got {c}")
     rises = _rises(step_set, 1, p)
 
     def core(start: _Point, word: str) -> _Key:
@@ -380,11 +382,11 @@ def bohm_to_unit(path: LatticePath) -> LatticePath:
 
 def _unit_to_bohm(step_set: StepSet, rise: int, end_alt: int):
     _require_unit(step_set)
-    require(rise >= 1, f"need rise >= 1, got {rise}")
-    require(end_alt >= 1, f"need end_alt >= 1, got {end_alt}")
-    member = _above(
-        step_set, (1, rise, end_alt - 1), f"input path is not strictly above y = {rise}*x - {end_alt}"
-    )
+    require(rise >= 1, lambda: f"need rise >= 1, got {rise}")
+    require(end_alt >= 1, lambda: f"need end_alt >= 1, got {end_alt}")
+    member = _above(step_set, (1, rise, end_alt - 1), lambda level: (
+        f"input path is not strictly above y = {rise}*x - {end_alt}"
+    ))
 
     def core(start: _Point, word: str) -> _Key:
         if start != (0, 0):

@@ -86,6 +86,15 @@ def test_every_precondition_message_is_built_only_on_failure():
         assert calls, module_file
         for call in calls:
             assert isinstance(call.args[1], ast.Lambda), (module_file, call.lineno)
+    # The correspondences pass a fixed text or a function, never an f-string.
+    tree = ast.parse((Path(latticepaths.__file__).parent / "bijections.py").read_text())
+    messages = [
+        node.args[1] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require"
+    ]
+    assert messages
+    for message in messages:
+        assert not isinstance(message, ast.JoinedStr), message.lineno
 
 
 def test_two_route_rule_holds_in_the_imports():

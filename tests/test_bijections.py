@@ -364,6 +364,26 @@ def test_each_check_of_each_map_keeps_its_message(call, message):
     assert str(excinfo.value) == message
 
 
+_HUGE = 10**5000  # 5,001 digits, past Python's default int-to-str limit (4300, from 3.11 on)
+
+
+@pytest.mark.parametrize("call, start, word", [
+    (lambda: koroljuk_to_unit(LatticePath.decode("U", StepSet.koroljuk(1)), _HUGE), (0, 0), "V"),
+    (lambda: bohm_rotate(LatticePath.decode("U", StepSet.koroljuk(1)), _HUGE), (0, _HUGE), "D"),
+    (lambda: unit_to_koroljuk(_unit("V"), 1, _HUGE), (0, 0), "U"),
+    (lambda: unit_to_koroljuk(_unit("VH"), _HUGE, 1), (0, 0), "DU"),
+    (lambda: unit_to_bohm(_unit("V"), 1, _HUGE), (0, _HUGE + 1), "D"),
+    (lambda: unit_to_bohm(_unit("H"), _HUGE, _HUGE + 1), (0, 1), "U"),
+    (lambda: lemma_translate(_unit("V", (1, _HUGE)), integer_slope(_HUGE, 0)), (0, 0), "V"),
+], ids=["koroljuk_to_unit", "bohm_rotate", "unit_to_koroljuk-c", "unit_to_koroljuk-p",
+        "unit_to_bohm-end_alt", "unit_to_bohm-rise", "lemma_translate"])
+def test_a_huge_parameter_passes_the_checks(call, start, word):
+    # A check that formatted its message before testing would raise
+    # ValueError here on valid parameters.
+    image = call()
+    assert (image.start, image.word) == (start, word)
+
+
 @given(st.text(alphabet="HV", max_size=8), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=3))
 def test_drop_one_round_trip_property(text, k, r):

@@ -1,5 +1,9 @@
 """Tests for the exact integer and rational arithmetic layer."""
 
+import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,7 @@ from latticepaths import (
     ValidationError,
     as_integer,
     binomial,
+    exactmath,
     generalized_binomial,
     upper_negation,
 )
@@ -41,6 +46,132 @@ def test_binomial_pascal_rule(n, k):
 def test_binomial_row_ends(n):
     assert binomial(n, 0) == 1
     assert binomial(n, n) == 1
+
+
+@pytest.fixture
+def table(monkeypatch):
+    """An empty prime table for one test, and the (n, k) of every call that
+    takes the table route; the kept table is restored afterwards."""
+    monkeypatch.setattr(exactmath, "_table", (0, []))
+    calls = []
+    route = exactmath._by_primes
+
+    def spy(n, k):
+        calls.append((n, k))
+        return route(n, k)
+
+    monkeypatch.setattr(exactmath, "_by_primes", spy)
+    return calls
+
+
+def test_binomial_takes_the_prime_table_past_the_size_test(table):
+    # j = min(k, n-k) >= 300 and j*j >= 64*n picks the table; at n = 3000
+    # the least such j is 439.
+    cases = [(600, 300, True), (599, 299, False), (1000, 299, False), (1000, 300, True),
+             (1000, 700, True), (1000, 701, False), (3000, 438, False), (3000, 439, True),
+             (3000, 2561, True), (3000, 2562, False), (40000, 1599, False), (40000, 1600, True)]
+    for n, k, by_primes in cases:
+        table.clear()
+        assert binomial(n, k) == math.comb(n, k), (n, k)
+        assert table == ([(n, min(k, n - k))] if by_primes else []), (n, k)
+    for n in (0, 1, 2, 599, 600, 1000, 3000, 40000):
+        for k in {0, 1, n - 1, n}:
+            assert binomial(n, k) == (math.comb(n, k) if 0 <= k <= n else 0), (n, k)
+    assert binomial(40000, -1) == binomial(40000, 40001) == 0
+
+
+def test_binomial_at_prime_powers():
+    for p in (2, 3, 5, 7, 11, 13):
+        q = p
+        while q <= 10000:
+            for n in (q - 1, q, q + 1):
+                # k spans the table's three prime ranges and Kummer's borrows.
+                for k in {1, 2, n // 3, n // 2, (n - 1) // 2, n // p}:
+                    assert binomial(n, k) == math.comb(n, k), (n, k)
+                    if 4 <= n and 0 <= 2 * k <= n:
+                        assert exactmath._by_primes(n, k) == math.comb(n, k), (n, k)
+            q *= p
+
+
+def test_binomial_on_a_seeded_sample(table):
+    rng = random.Random(25)
+    for _ in range(300):
+        n = round(math.exp(rng.uniform(0, math.log(40000))))
+        k = rng.randint(-2, n + 2)
+        assert binomial(n, k) == (math.comb(n, k) if 0 <= k <= n else 0), (n, k)
+    assert table  # the sample reached the table route
+
+
+def test_table_growth_does_not_change_a_value(table):
+    sizes = [600, 1023, 1024, 1025, 3000, 5000, 9000, 17000, 33000]
+    bounds = []
+    for n in sizes + sizes[::-1]:
+        for k in (n // 2, n // 3):
+            assert binomial(n, k) == math.comb(n, k), (n, k)
+        bound, primes = exactmath._table
+        bounds.append((bound, len(primes)))
+    # The bound doubles, past each new n, and only while n rises; the table
+    # holds the pi(bound) primes below it (32761 = 181**2 is not one).
+    assert bounds[:len(sizes)] == [
+        (1024, 172), (1024, 172), (2048, 309), (2048, 309), (4096, 564), (8192, 1028),
+        (16384, 1900), (32768, 3512), (65536, 6542),
+    ]
+    assert bounds[len(sizes):] == [(65536, 6542)] * len(sizes)
+    assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_a_smaller_table_kept_meanwhile_does_not_change_a_value(table, monkeypatch):
+    # Another thread may keep its smaller table between this call's growth
+    # and its reads; the call must go on with the primes it built.
+    grow = exactmath._sieve
+
+    def racing(n, bound):
+        primes = grow(n, bound)
+        exactmath._table = (1024, primes[:172])  # the primes below 1024
+        return primes
+
+    monkeypatch.setattr(exactmath, "_sieve", racing)
+    for n in (3000, 9000):
+        assert binomial(n, n // 2) == math.comb(n, n // 2), n
+
+
+def test_threads_growing_the_table_at_once_get_exact_values(table):
+    # Each thread asks for a larger n than the last, from its own place in
+    # the list; a thread switch after almost every bytecode interleaves the
+    # growths and the reads.
+    sizes = [600 * 2**i for i in range(6)]
+    wrong = []
+
+    def work(offset):
+        for n in sizes[offset:] + sizes[:offset]:
+            if binomial(n, n // 2) != math.comb(n, n // 2):
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(table) == 4 * len(sizes)
+
+
+def test_table_stops_at_its_limit(table, monkeypatch):
+    limit = exactmath.PRIME_TABLE_LIMIT
+    for n, k in ((limit + 1, 0), (limit + 1, 5), (limit + 1, limit - 3), (10**7, 3), (10**30, 2)):
+        assert binomial(n, k) == math.comb(n, k), (n, k)
+    assert (table, exactmath._table) == ([], (0, []))
+    # On a limit of 4096 the table holds the primes up to it and no more.
+    monkeypatch.setattr(exactmath, "PRIME_TABLE_LIMIT", 4096)
+    assert binomial(4096, 2048) == math.comb(4096, 2048)
+    assert (table, exactmath._table[0]) == ([(4096, 2048)], 4097)
+    assert binomial(4097, 2048) == math.comb(4097, 2048)
+    assert (table, exactmath._table[0], exactmath._table[1][-1]) == ([(4096, 2048)], 4097, 4093)
 
 
 def test_generalized_binomial_examples():

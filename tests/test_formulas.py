@@ -592,6 +592,19 @@ def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
             assert evaluator(2, N, 0, 0, 2 * N, N) == dp_count(q), (N, strictness)
 
 
+def test_the_two_koroljuk_sums_agree_across_the_binomial_size_test():
+    # The literal sum's per-term binomials C(s, j) and C(4000 - s, 2000 - j)
+    # fall on both sides of binomial's size test, as does the reduced form's
+    # C(4000, 2000).
+    q = KoroljukQuery(1, 3, 2000, 2000)
+    assert koroljuk_literal(q) == koroljuk_reduced(q)
+
+
+def test_a_catalan_count_past_the_binomial_size_test():
+    N = 3 * 10**4
+    assert count_weak(1, 0, 0, 0, N, N) == math.comb(2 * N, N) // (N + 1)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: base_case(0, 0, 0, 1, 1), "need k, m >= 1, got k=0, m=1"),
     (lambda: base_case(1, 2, 0, 1, 1), "need 0 <= a <= m, got a=2, m=1"),
