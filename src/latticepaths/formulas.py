@@ -32,7 +32,7 @@ count_strict        _unit_count(k, b+r-k*a, m-a, n-b)
 count_weak_inv      _unit_count(k, k*n+k*r+1-m, n-b, m-a)
 count_strict_inv    _unit_count(k, k*n+k*r-m, n-b, m-a)
 bohm                _unit_count(rise, end_alt, ups, down_steps)
-koroljuk_reduced    C(m+n, n) - _unit_count(p, c+p*n-m, n, m)
+koroljuk_reduced    _unit_count(p, c+p*n-m, n, m, touching=True)
 niederhausen        _unit_count(k, k*d, m, n)
 ==================  ===============================================
 
@@ -40,6 +40,9 @@ The inverse rows turn the rectangle by 180 degrees and swap the axes, as
 ``bijections.reflect_inverse`` does to paths.  ``_unit_count`` runs
 ``_touching``, subtracted from C(M+N, M), when it has strictly fewer
 nonzero terms, so a line that only clips the rectangle costs one binomial.
+With ``touching=True`` it returns the complement, the paths not strictly
+above, and takes C(M+N, M) only on the alternating route; that is
+``koroljuk_reduced``'s count of the walks that meet x = c.
 It is the only caller of the two sums here; a check that compares routes
 calls them by name (``identities``, ``verify``).
 
@@ -149,13 +152,17 @@ def _touching(k: int, d: int, m: int, n: int) -> int:
     return _ballot_sum(k, n + d - k * m, m, -d, k + 1, False)
 
 
-def _unit_count(k: int, d: int, m: int, n: int) -> int:
-    """``_avoiding(k, d, m, n)`` by the shorter of the two sums (the
+def _unit_count(k: int, d: int, m: int, n: int, touching: bool = False) -> int:
+    """``_avoiding(k, d, m, n)``, or if ``touching`` the C(m+n, m) paths less
+    those, ``_touching(k, d, m, n)``, by the shorter of the two sums (the
     alternating one on a tie).  As ceil(d/k) >= 1, ``_touching`` is the
-    shorter exactly when m - ceil(d/k) < (d-1)//(k+1)."""
+    shorter exactly when m - ceil(d/k) < (d-1)//(k+1).  C(m+n, m) is taken
+    only when the shorter sum is not the count asked for."""
     if m + (-d // k) < (d - 1) // (k + 1):
-        return _finish(binomial(m + n, m) - _touching(k, d, m, n))
-    return _avoiding(k, d, m, n)
+        count, asked = _touching(k, d, m, n), touching
+    else:
+        count, asked = _avoiding(k, d, m, n), not touching
+    return count if asked else _finish(binomial(m + n, m) - count)
 
 
 def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
@@ -267,7 +274,7 @@ def koroljuk_reduced(q: KoroljukQuery) -> int:
     """Same count as koroljuk_literal: the C(m+n, n) walks less those that
     avoid x = c, the unit paths strictly above y = p*x - (c + p*n - m)."""
     p, c, m, n = q.p, q.c, q.m, q.n
-    return _finish(binomial(m + n, n) - _unit_count(p, c + p * n - m, n, m))
+    return _unit_count(p, c + p * n - m, n, m, touching=True)
 
 
 def niederhausen(q: NiederhausenQuery) -> int:

@@ -580,6 +580,25 @@ def test_walk_counts_reach_the_chooser(kernel_calls, evaluate, q, chosen, other_
     assert value == other_route(q)
 
 
+@pytest.mark.parametrize("c, expected", [(10**5, 1), (15 * 10**4, 0)])
+def test_koroljuk_reduced_takes_no_total_on_the_last_passage_route(monkeypatch, kernel_calls, c, expected):
+    # At m = n = 10**5 the walks that meet x = c are the paths not strictly
+    # above y = x - c: the last-passage sum has one nonzero term at c = 10**5
+    # and none at 1.5*10**5, so the count is that sum alone and
+    # C(m+n, n) = C(200000, 100000) is never taken.
+    taken = []
+    take = formulas.binomial
+
+    def spy(n, k):
+        taken.append((n, k))
+        return take(n, k)
+
+    monkeypatch.setattr(formulas, "binomial", spy)
+    assert koroljuk_reduced(KoroljukQuery(1, c, 10**5, 10**5)) == expected
+    assert kernel_calls == [(-c, 2)]
+    assert not [call for call in taken if call[0] == 2 * 10**5], taken
+
+
 def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
     N = 10**4
     assert count_weak(2, N, 0, N, N, 3 * N) == math.comb(3 * N, N)
