@@ -65,10 +65,10 @@ ratio, four falling factorials (``math.perm``) and two small factors, in one
 exact divmod; a remainder or a negative total raises ArithmeticError.
 
 The remaining evaluators are specializations and relatives: generalized
-ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (a second
-route with its own sum over the abscissae and one exact division per term),
-and the totalizing ``count``, which accepts any query and returns 0 when
-no paths exist.  The evaluators enforce the preconditions each documents.
+ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (term j is
+``_touching(p, c+p*n-m, n, m)``'s at y = n-j, from fresh binomials: a check
+of the kernel's steps and the chooser), and the totalizing ``count``.  The
+evaluators enforce the preconditions each documents.
 """
 
 from __future__ import annotations

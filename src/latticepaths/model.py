@@ -334,16 +334,16 @@ def validate_query(q: PathQuery) -> QueryValidation:
 
     # Endpoint validity and reachability already imply most block conditions
     # (the end above the line gives the n-side inequality, the start above
-    # gives the b-vs-line inequality).  What remains live is the sign side.
-    eff = normalize_query(q)
+    # gives the b-vs-line inequality).  What remains live is the sign side of
+    # the start, in the mode that ``normalize_query`` would give the query.
     problems: list[str] = []
-    if eff.a < 0:
+    if q.a < 0:
         problems.append("start abscissa below 0")
-    if eff.strictness is Strictness.WEAK:
-        if eff.b < 0:
+    if q.strictness is Strictness.WEAK or strictness_insensitive(q.boundary):
+        if q.b < 0:
             problems.append("start ordinate below 0 (vertically shifted query)")
     else:
-        if eff.b < 1:
+        if q.b < 1:
             problems.append("strict start ordinate below 1")
     if problems:
         return QueryValidation(QueryCategory.EXTENDED, "; ".join(problems))

@@ -327,6 +327,27 @@ def test_integer_sums_equal_their_fraction_references():
         assert niederhausen_forms_check(q).values["collected"] == _collected_reference(q), q
 
 
+def _comb(n, k):
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def test_the_literal_koroljuk_sum_is_the_last_passage_sum():
+    # With v = c + p*n - m, the literal term at s = c + (p+1)*j is
+    # _touching(p, v, n, m)'s term at y = n - j (where e = c), so the two
+    # routes share every term and differ only in how they compute it.  For
+    # v < 1 the chooser runs the alternating sum, and this reaches _touching.
+    extra = [(1, 1, 12, 1), (1, 3, 9, 2), (2, 1, 20, 2), (3, 2, 30, 3), (2, 4, 10, 3)]
+    for p, c, m, n in [*KOROLJUK_GRID, *extra]:
+        v = c + p * n - m
+        literal = {j: Fraction(c, s) * _comb(s, j) * _comb(m + n - s, n - j)
+                   for j, s in enumerate(range(c, m + n + 1, p + 1))}
+        touching = {n - y: Fraction(c, c + p * (n - y)) * _comb(c + (p + 1) * (n - y) - 1, n - y)
+                    * _comb((p + 1) * y - v, y) for y in range(n + 1)}
+        nonzero = [{j: t for j, t in terms.items() if t} for terms in (literal, touching)]
+        assert nonzero[0] == nonzero[1], (p, c, m, n)
+        assert koroljuk_literal(KoroljukQuery(p, c, m, n)) == _touching(p, v, n, m), (p, c, m, n)
+
+
 @pytest.mark.parametrize("p, c", [(1, 3), (2, 5)])
 def test_koroljuk_forms_agree_at_size(p, c):
     q = KoroljukQuery(p, c, 200, 200)

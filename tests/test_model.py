@@ -1,5 +1,6 @@
 """Tests for boundaries, queries, step sets, and path encodings."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from latticepaths import (
     Strictness,
     ValidationError,
     above,
+    count,
     dp_count,
     enumerate_paths,
     integer_slope,
@@ -31,6 +33,8 @@ from latticepaths import (
     strictness_insensitive,
     validate_query,
 )
+from latticepaths import formulas, model
+from latticepaths.cli import main
 from latticepaths.model import _moved
 
 WEAK = Strictness.WEAK
@@ -196,6 +200,97 @@ def test_validate_query_examples():
 def test_validate_query_rejects_unreachable_endpoints():
     q = PathQuery(3, 0, 2, 4, integer_slope(1, 5), WEAK)
     assert validate_query(q).category is QueryCategory.INVALID
+
+
+def _verdict_from_normalized(q):
+    """The classification with the sign side read off the whole normalized
+    query: the reference for ``validate_query``, which builds none."""
+    if q.a > q.m or q.b > q.n:
+        return QueryCategory.INVALID, "end point not reachable from start"
+    if not above((q.a, q.b), q.boundary, q.strictness):
+        return QueryCategory.INVALID, "start violates the boundary constraint"
+    if not above((q.m, q.n), q.boundary, q.strictness):
+        return QueryCategory.INVALID, "end violates the boundary constraint"
+    eff = normalize_query(q)
+    problems = []
+    if eff.a < 0:
+        problems.append("start abscissa below 0")
+    if eff.strictness is WEAK:
+        if eff.b < 0:
+            problems.append("start ordinate below 0 (vertically shifted query)")
+    elif eff.b < 1:
+        problems.append("strict start ordinate below 1")
+    if problems:
+        return QueryCategory.EXTENDED, "; ".join(problems)
+    return QueryCategory.STANDARD, "meets the documented condition block"
+
+
+def _seeded_queries(rng, size):
+    """Both slope kinds and modes, intercepts with denominators up to 7,
+    starts from (-3, -3) with ordinate 0 drawn often, and ends that may lie
+    before the start."""
+    for _ in range(size):
+        line = BoundaryLine(rng.choice(list(SlopeKind)), rng.randint(1, 3),
+                            Fraction(rng.randint(-12, 12), rng.randint(1, 7)))
+        a = rng.randint(-3, 3)
+        b = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
+        yield PathQuery(a, b, a + rng.randint(-1, 5), b + rng.randint(-1, 6), line,
+                        rng.choice(list(Strictness)))
+    huge = Fraction(10**5000 + 1, 3)  # a 5,001-digit numerator
+    for kind, r, start in product(SlopeKind, (huge, -huge), ((0, 0), (-2, 0), (1, -3))):
+        for strictness in Strictness:
+            yield PathQuery(*start, 4, 4, BoundaryLine(kind, 2, r), strictness)
+
+
+def test_validate_query_matches_the_normalized_verdict_on_a_seeded_sample():
+    seen = set()
+    for q in _seeded_queries(random.Random(2013), 4000):
+        verdict = validate_query(q)
+        assert (verdict.category, verdict.reason) == _verdict_from_normalized(q), q
+        seen.add(verdict.reason)
+        if q.strictness is STRICT and q.b == 0 and verdict.ok:
+            seen.add(("strict start at 0", strictness_insensitive(q.boundary)))
+    assert seen >= {
+        "end point not reachable from start",
+        "start violates the boundary constraint",
+        "end violates the boundary constraint",
+        "start abscissa below 0",
+        "start ordinate below 0 (vertically shifted query)",
+        "strict start ordinate below 1",
+        "start abscissa below 0; strict start ordinate below 1",
+        "meets the documented condition block",
+        ("strict start at 0", True),
+        ("strict start at 0", False),
+    }
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """The queries handed to ``normalize_query`` through either module that names it."""
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        return normalize_query(q)
+
+    monkeypatch.setattr(model, "normalize_query", spy)
+    monkeypatch.setattr(formulas, "normalize_query", spy)
+    return calls
+
+
+SHIFTED_STRICT_QUERY = PathQuery(-1, -2, 4, 6, integer_slope(2, Fraction(7, 3)), STRICT)
+
+
+def test_count_normalizes_its_query_once(normalizations):
+    assert count(SHIFTED_STRICT_QUERY) == dp_count(SHIFTED_STRICT_QUERY)
+    assert normalizations == [SHIFTED_STRICT_QUERY]
+
+
+def test_the_count_command_normalizes_its_query_once(normalizations, capsys):
+    argv = ["count", "--slope", "2", "--intercept", "7/3", "--from=-1,-2", "--to", "4,6", "--strict"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{dp_count(SHIFTED_STRICT_QUERY)}\n"
+    assert normalizations == [SHIFTED_STRICT_QUERY]
 
 
 def test_normalize_query_snaps_non_integer_intercepts():
