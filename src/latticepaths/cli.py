@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
 
-from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError
+from .errors import DEFAULT_SEED, ResourceLimitError, ValidationError, require
 from .formulas import bohm, count, koroljuk_literal, koroljuk_reduced, niederhausen
 from .model import (
     BohmQuery,
@@ -47,6 +47,10 @@ from .oracle import dp_count, enumerate_paths
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction writes out a decimal exponent in full first: refuse one past 10**6.
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 7 or int(exponent) > 10**6):
+        raise argparse.ArgumentTypeError(f"exponent beyond 10**6 in magnitude: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -77,29 +81,8 @@ def _parse_slope(text: str) -> tuple[SlopeKind, int]:
         ) from None
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument("--out", metavar="PATH", help="also write the output to a file")
-
-
 # The flags of count, enumerate and transform that take a possibly negative value.
 _QUERY_FLAGS = ("--from", "--to", "--intercept", "--slope")
-
-
-def _add_query_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--slope", type=_parse_slope, required=True,
-                        help="boundary slope: integer k or 1/k")
-    parser.add_argument("--intercept", type=_parse_rational, default=Fraction(0),
-                        help="intercept parameter r of y = slope*x - r (rational, default 0)")
-    parser.add_argument("--from", dest="start", type=_parse_point, default=(0, 0),
-                        metavar="A,B", help="start point (default 0,0)")
-    parser.add_argument("--to", dest="end", type=_parse_point, required=True,
-                        metavar="M,N", help="end point")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--weak", dest="strictness", action="store_const",
-                      const=Strictness.WEAK, help="paths may touch the line")
-    mode.add_argument("--strict", dest="strictness", action="store_const",
-                      const=Strictness.STRICT, help="paths stay strictly above the line")
 
 
 def _emit(args: argparse.Namespace, text: str, parameters: dict | Callable[[], dict],
@@ -211,14 +194,6 @@ def _cmd_niederhausen(args: argparse.Namespace) -> int:
     return _emit(args, str(value), lambda: {"k": q.k, "d": str(q.d), "m": q.m, "n": q.n}, value)
 
 
-def _require_flags(args: argparse.Namespace, names: Sequence[str]) -> None:
-    missing = [name for name in names if getattr(args, name.lstrip("-").replace("-", "_"), None) is None]
-    if missing:
-        raise ValidationError(
-            f"--map {args.map} needs {', '.join(names)}"
-        )
-
-
 def _cmd_transform(args: argparse.Namespace) -> int:
     from .bijections import (
         bohm_rotate,
@@ -229,27 +204,20 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         unit_to_koroljuk,
     )
 
-    if args.map in ("drop-one", "lemma-translate", "reflect-inverse"):
-        _require_flags(args, ["--slope"])
-        kind, k = args.slope
-        line = BoundaryLine(kind, k, args.intercept if args.intercept is not None else 0)
-        path = LatticePath.decode(args.path, StepSet.unit(), args.start)
-        if args.map == "drop-one":
-            image = drop_one(path, line)
-        elif args.map == "lemma-translate":
-            image = lemma_translate(path, line)
-        else:
-            image = reflect_inverse(path, line)
-    elif args.map in ("koroljuk-to-unit", "bohm-rotate"):
-        _require_flags(args, ["--p", "--c"])
-        path = LatticePath.decode(args.path, StepSet.koroljuk(args.p))
-        image = (koroljuk_to_unit if args.map == "koroljuk-to-unit" else bohm_rotate)(
-            path, args.c
-        )
-    else:  # unit-to-koroljuk
-        _require_flags(args, ["--p", "--c"])
+    unit_maps = {"drop-one": drop_one, "lemma-translate": lemma_translate,
+                 "reflect-inverse": reflect_inverse}
+    needs = ("slope",) if args.map in unit_maps else ("p", "c")
+    require(all(getattr(args, name) is not None for name in needs),
+            lambda: f"--map {args.map} needs {', '.join('--' + name for name in needs)}")
+    if args.map in unit_maps:
+        line = BoundaryLine(*args.slope, args.intercept or 0)
+        image = unit_maps[args.map](LatticePath.decode(args.path, StepSet.unit(), args.start), line)
+    elif args.map == "unit-to-koroljuk":
         path = LatticePath.decode(args.path, StepSet.unit())
         image = unit_to_koroljuk(path, args.p, args.c, args.intercept)
+    else:
+        path = LatticePath.decode(args.path, StepSet.koroljuk(args.p))
+        image = (koroljuk_to_unit if args.map == "koroljuk-to-unit" else bohm_rotate)(path, args.c)
     steps = image.encode()
     text = f"{steps or '(empty)'} @ ({image.start[0]},{image.start[1]})"
     return _emit(args, text, {"map": args.map, "path": args.path},
@@ -284,46 +252,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_count = commands.add_parser("count", help="count the paths of a query")
-    _add_query_flags(p_count)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit one JSON document")
+    output.add_argument("--out", metavar="PATH", help="also write the output to a file")
+
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--slope", type=_parse_slope, required=True,
+                       help="boundary slope: integer k or 1/k")
+    query.add_argument("--intercept", type=_parse_rational, default=Fraction(0),
+                       help="intercept parameter r of y = slope*x - r (rational, default 0)")
+    query.add_argument("--from", dest="start", type=_parse_point, default=(0, 0),
+                       metavar="A,B", help="start point (default 0,0)")
+    query.add_argument("--to", dest="end", type=_parse_point, required=True,
+                       metavar="M,N", help="end point")
+    mode = query.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--weak", dest="strictness", action="store_const",
+                      const=Strictness.WEAK, help="paths may touch the line")
+    mode.add_argument("--strict", dest="strictness", action="store_const",
+                      const=Strictness.STRICT, help="paths stay strictly above the line")
+
+    p_count = commands.add_parser("count", parents=[query, output],
+                                  help="count the paths of a query")
     p_count.add_argument("--oracle", action="store_true",
                          help="also run the dynamic-programming oracle and compare")
-    _add_output_flags(p_count)
     p_count.set_defaults(handler=_cmd_count)
 
-    p_enum = commands.add_parser("enumerate", help="list the paths of a query")
-    _add_query_flags(p_enum)
-    _add_output_flags(p_enum)
+    p_enum = commands.add_parser("enumerate", parents=[query, output],
+                                 help="list the paths of a query")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_kor = commands.add_parser("koroljuk", help="walks meeting x = c")
+    p_kor = commands.add_parser("koroljuk", parents=[output], help="walks meeting x = c")
     p_kor.add_argument("--p", type=int, required=True, help="back-step length")
     p_kor.add_argument("--c", type=int, required=True, help="avoided abscissa")
     p_kor.add_argument("--m", type=int, required=True, help="number of (1,1) steps")
     p_kor.add_argument("--n", type=int, required=True, help="number of (-p,1) steps")
     p_kor.add_argument("--form", choices=("literal", "reduced", "both"),
                        default="reduced", help="which sum to evaluate (default reduced)")
-    _add_output_flags(p_kor)
     p_kor.set_defaults(handler=_cmd_koroljuk)
 
-    p_bohm = commands.add_parser("bohm", help="positive-altitude walks")
+    p_bohm = commands.add_parser("bohm", parents=[output], help="positive-altitude walks")
     p_bohm.add_argument("--rise", type=int, required=True, help="up-step rise")
     p_bohm.add_argument("--start", type=int, required=True, help="start altitude")
     p_bohm.add_argument("--end", type=int, required=True, help="end altitude")
     p_bohm.add_argument("--ups", type=int, required=True, help="number of up steps")
-    _add_output_flags(p_bohm)
     p_bohm.set_defaults(handler=_cmd_bohm)
 
-    p_nied = commands.add_parser("niederhausen", help="strict count above y = k*(x-d)")
+    p_nied = commands.add_parser("niederhausen", parents=[output],
+                                 help="strict count above y = k*(x-d)")
     p_nied.add_argument("--k", type=int, required=True, help="slope")
     p_nied.add_argument("--d", type=_parse_rational, required=True,
                         help="horizontal offset d (rational, k*d integral)")
     p_nied.add_argument("--m", type=int, required=True, help="end abscissa")
     p_nied.add_argument("--n", type=int, required=True, help="end ordinate")
-    _add_output_flags(p_nied)
     p_nied.set_defaults(handler=_cmd_niederhausen)
 
-    p_tr = commands.add_parser("transform", help="apply a path correspondence")
+    p_tr = commands.add_parser("transform", parents=[output], help="apply a path correspondence")
     p_tr.add_argument("--map", required=True,
                       choices=("drop-one", "lemma-translate", "reflect-inverse",
                                "koroljuk-to-unit", "unit-to-koroljuk", "bohm-rotate"),
@@ -338,37 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="A,B", help="input path start (unit-path maps; default 0,0)")
     p_tr.add_argument("--p", type=int, help="walk back-step length")
     p_tr.add_argument("--c", type=int, help="avoided abscissa")
-    _add_output_flags(p_tr)
     p_tr.set_defaults(handler=_cmd_transform)
 
     p_ver = commands.add_parser("verify", help="run the acceptance sweeps")
+    p_ver.set_defaults(handler=_cmd_verify)
     verify_commands = p_ver.add_subparsers(dest="verify_command", required=True)
 
-    p_sweep = verify_commands.add_parser("sweep", help="closed forms vs oracle")
+    p_sweep = verify_commands.add_parser("sweep", parents=[output], help="closed forms vs oracle")
     p_sweep.add_argument("--max-k", type=int, default=3, help="largest slope (default 3)")
     p_sweep.add_argument("--max-extent", type=int, default=8,
                          help="largest end ordinate (default 8; 0 means an empty grid); the "
                          "grid grows about as its fourth power, and no cap applies")
-    _add_output_flags(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_verify)
 
-    p_ident = verify_commands.add_parser("identities", help="identity grids and random checks")
+    p_ident = verify_commands.add_parser("identities", parents=[output],
+                                         help="identity grids and random checks")
     p_ident.add_argument("--trials", type=int, default=1000,
                          help="random convolution-identity trials (default 1000; "
                          "half as many upper-negation pairs); the work grows with it "
                          "without bound, and no cap applies")
     p_ident.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help=f"random seed (default {DEFAULT_SEED})")
-    _add_output_flags(p_ident)
-    p_ident.set_defaults(handler=_cmd_verify)
 
-    p_bij = verify_commands.add_parser("bijections", help="transform suites")
+    p_bij = verify_commands.add_parser("bijections", parents=[output], help="transform suites")
     p_bij.add_argument("--max-steps", type=int, default=10,
                        help="largest instance size in steps (default 10); no cap applies, "
                        "but the instance grids are fixed, so values of 23 and above all "
                        "run the same checks")
-    _add_output_flags(p_bij)
-    p_bij.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -174,12 +174,13 @@ def generalized_binomial(x: Rational | int, k: int) -> Rational:
     """Generalized binomial coefficient C(x, k) over the rationals, k >= 0."""
     if k < 0:
         raise ValidationError(f"generalized binomial lower index must be nonnegative, got {_shown(k)}")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    top = 1
-    for t in range(k):
-        top *= p - t * q  # q*(x - t)
-    return Fraction(top, q**k * factorial(k))
+    p, q = Fraction(x).as_integer_ratio()
+    return Fraction(_falling(p, k, q), q**k * factorial(k))
+
+
+def _falling(top: int, k: int, step: int) -> int:
+    """top*(top - step)*...*(top - (k-1)*step), the numerator of C(top/step, k)."""
+    return prod(range(top, top - k * step, -step))
 
 
 def upper_negation(x: Rational | int, k: int) -> tuple[Rational, Rational]:

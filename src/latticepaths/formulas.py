@@ -65,10 +65,11 @@ ratio, four falling factorials (``math.perm``) and two small factors, in one
 exact divmod; a remainder or a negative total raises ArithmeticError.
 
 The remaining evaluators are specializations and relatives: generalized
-ballot counts, Fuss-Catalan numbers, the literal Koroljuk sum (term j is
-``_touching(p, c+p*n-m, n, m)``'s at y = n-j, from fresh binomials: a check
-of the kernel's steps and the chooser), and the totalizing ``count``.  The
-evaluators enforce the preconditions each documents.
+ballot counts, Fuss-Catalan numbers, the one literal Koroljuk sum ``_literal``
+(term j is ``_touching(p, c+p*n-m, n, m)``'s at y = n-j, from fresh
+binomials: a check of the kernel's steps and the chooser; ``identities``
+takes the collected Niederhausen form from it too), and the totalizing
+``count``.  The evaluators enforce the preconditions each documents.
 """
 
 from __future__ import annotations
@@ -259,15 +260,19 @@ def fuss_catalan(k: int, m: int) -> int:
     return _exact(binomial(k * m, m), 1, (k - 1) * m + 1)
 
 
-def koroljuk_literal(q: KoroljukQuery) -> int:
-    """Count of the walks that meet x = c, as a sum over the abscissae
-    s = c + j*(p+1) <= m+n, j = 0, 1, ...; empty when c > m+n.  Each
-    c/s * C(s, j) is an integer (a Raney number), taken by one exact division."""
-    p, c, m, n = q.p, q.c, q.m, q.n
+def _literal(p: int, c: int, m: int, n: int) -> int:
+    """The sum of c/s * C(s, j) * C(m+n-s, n-j) over s = c + j*(p+1) <= m+n,
+    j = 0, 1, ...; empty when c > m+n.  Each c/s * C(s, j) is an integer (a
+    Raney number) for c >= 1, taken by one exact division."""
     total = 0
     for j, s in enumerate(range(c, m + n + 1, p + 1)):
         total += _exact(binomial(s, j), c, s) * binomial(m + n - s, n - j)
     return _finish(total)
+
+
+def koroljuk_literal(q: KoroljukQuery) -> int:
+    """Count of the walks that meet x = c, by Koroljuk's literal sum."""
+    return _literal(q.p, q.c, q.m, q.n)
 
 
 def koroljuk_reduced(q: KoroljukQuery) -> int:

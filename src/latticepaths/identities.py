@@ -16,11 +16,11 @@ import random
 from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 
 from .errors import DEFAULT_SEED, ValidationError, require
-from .exactmath import Rational, binomial, upper_negation
-from .formulas import _avoiding, _exact, _touching, count_strict, count_weak, niederhausen
+from .exactmath import Rational, _falling, binomial, upper_negation
+from .formulas import _avoiding, _literal, _touching, count_strict, count_weak, niederhausen
 from .model import KoroljukQuery, NiederhausenQuery, _record_class
 
 HAGEN_ROTHE_MAX_N = 12  # largest n of a random convolution draw
@@ -113,16 +113,13 @@ def hagen_rothe(params: HagenRotheParams) -> tuple[Rational, Rational]:
     n = params.n
     d = lcm(params.alpha.denominator, params.beta.denominator, params.gamma.denominator)
     a, b, g = (x.numerator * (d // x.denominator) for x in (params.alpha, params.beta, params.gamma))
-
-    def falling(top: int, k: int) -> int:
-        return prod(range(top, top - k * d, -d))
-
     lhs = sum(
-        comb(n, i) * (g * falling(g + b * i, i) // (g + b * i)) * falling(a + b * (n - i), n - i)
+        comb(n, i) * (g * _falling(g + b * i, i, d) // (g + b * i))
+        * _falling(a + b * (n - i), n - i, d)
         for i in range(n + 1)
     )
     scale = factorial(n) * d**n
-    return Fraction(lhs, scale), Fraction(falling(a + g + b * n, n), scale)
+    return Fraction(lhs, scale), Fraction(_falling(a + g + b * n, n, d), scale)
 
 
 def hagen_rothe_check(params: HagenRotheParams) -> CheckReport:
@@ -224,18 +221,15 @@ def niederhausen_forms_check(q: NiederhausenQuery) -> CheckReport:
     correction sum with the leading factor folded into the larger binomial,
     (n+kd-km)/(m+n+kd-(k+1)i) * C(m+n+kd-(k+1)i, m-i) * C((k+1)i-kd, i);
     the direct value is the alternating sum ``_avoiding(k, kd, m, n)``.
-    With e = n+kd-km >= 1 (``niederhausen`` demands it) and j = m-i, the
-    first two factors are the Raney number e/(e+(k+1)j) * C(e+(k+1)j, j), an
-    integer taken by one exact division, so the sum runs in integers.
+    With e = n+kd-km >= 1 (``niederhausen`` demands it), j = m-i and
+    s = e+(k+1)j, that term is e/s * C(s, j) * C(m+n-s, m-j), the literal
+    Koroljuk sum's: the correction is the one literal sum ``_literal(k, e, n, m)``.
     """
     evaluated = niederhausen(q)
     k, m, n, kd = q.k, q.m, q.n, q.kd
-    e = n + kd - k * m
-    collected = binomial(m + n, m)
-    subtracted = collected - _touching(k, kd, m, n)
-    for i in range((kd - 1) // (k + 1) + 1, m + 1):
-        upper = m + n + kd - (k + 1) * i
-        collected -= _exact(binomial(upper, m - i), e, upper) * binomial((k + 1) * i - kd, i)
+    total = binomial(m + n, m)
+    subtracted = total - _touching(k, kd, m, n)
+    collected = total - _literal(k, n + kd - k * m, n, m)
     direct = _avoiding(k, kd, m, n)
     return CheckReport(
         "strict-count-forms",

@@ -175,8 +175,8 @@ def _keys(q: PathQuery | KoroljukQuery | BohmQuery) -> list[tuple[tuple[int, int
 
 
 def _listing(q, kinds: tuple[type, ...]) -> list[LatticePath]:
-    width, height, lo, letters, start, step_set, _ = _map(q, kinds)
-    return [LatticePath(start, word, step_set) for word in _walk(width, height, lo, letters)]
+    step_set = _map(q, kinds)[5]
+    return [LatticePath(start, word, step_set) for start, word in _keys(q)]
 
 
 def enumerate_paths(q: PathQuery) -> list[LatticePath]:

@@ -155,6 +155,15 @@ def test_count_huge_intercept_small_rectangle(capsys):
                        "--to", "2,3", "--weak")
     assert code == 0
     assert out == "10\n"
+    query = ("count", "--slope", "1", "--to", "3,3", "--weak", "--intercept")
+    assert run(capsys, *query, "1e1000000") == (0, "20\n", "")
+    # Fraction would write a larger exponent out in full, which takes seconds:
+    # refused at once, for either sign and for --d too.
+    for argv in [(*query, "1e1000001"), (*query, "-1E-1_000_001"), (*query, "1e10000000"),
+                 ("niederhausen", "--k", "1", "--m", "3", "--n", "3", "--d", "1e1000001")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"exponent beyond 10**6 in magnitude: {argv[-1]!r}" in err
 
 
 @pytest.mark.parametrize("argv, out", [
@@ -327,7 +336,13 @@ def test_transform_missing_family_flags(capsys):
     code, _, err = run(capsys, "transform", "--map", "koroljuk-to-unit",
                        "--path", "UDU")
     assert code == 2
-    assert "--p" in err
+    assert err == "error: --map koroljuk-to-unit needs --p, --c\n"
+    assert run(capsys, "transform", "--map", "unit-to-koroljuk", "--p", "1", "--path", "VH") == (
+        2, "", "error: --map unit-to-koroljuk needs --p, --c\n"
+    )
+    assert run(capsys, "transform", "--map", "drop-one", "--path", "VH") == (
+        2, "", "error: --map drop-one needs --slope\n"
+    )
 
 
 def test_verify_sweep_empty_grid(capsys):
@@ -366,6 +381,12 @@ def test_verify_json_document(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_main_runs_without_an_int_to_str_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 have no sys.set_int_max_str_digits.
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, "count", "--slope", "1", "--to", "3,3", "--weak") == (0, "5\n", "")
 
 
 def test_help_exits_0(capsys):

@@ -22,7 +22,7 @@ from latticepaths import (
     shift_check,
     upper_negation_check,
 )
-from latticepaths.identities import random_hagen_rothe, random_upper_negation
+from latticepaths.identities import CheckReport, random_hagen_rothe, random_upper_negation
 
 
 def test_hagen_rothe_examples():
@@ -106,6 +106,17 @@ def test_hagen_rothe_check_report_shape():
     assert report.values["lhs"] == report.values["rhs"] == 15
     assert report.line().startswith("pass hagen-rothe:")
     json.dumps(report.as_dict())
+
+
+def test_report_as_dict_renders_every_kind_of_value():
+    report = CheckReport("mixed", {"flag": True, "none": None, "pair": (1, [Fraction(1, 2), None])},
+                         {"count": 2, "word": "VH", "set": frozenset()}, False)
+    assert json.loads(json.dumps(report.as_dict())) == {
+        "name": "mixed",
+        "parameters": {"flag": True, "none": None, "pair": [1, ["1/2", None]]},
+        "values": {"count": 2, "word": "VH", "set": "frozenset()"},
+        "ok": False,
+    }
 
 
 def test_upper_negation_check():

@@ -51,6 +51,9 @@ from latticepaths.cli import main
     (run_bijections, (6,), 19357),
     # a negative step budget leaves every instance out
     (run_bijections, (-1,), 0),
+    # the instance grids are fixed: every budget from 23 steps up runs the same checks
+    (run_bijections, (23,), 22981),
+    (run_bijections, (40,), 22981),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_sweep_check_counts(sweep, args, checks):
     summary = sweep(*args)
