@@ -13,9 +13,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = formulas._ballot_sum
 
-    def spy(k, e, total, x0, dx, alternate):
+    def spy(k, e, total, x0, dx, alternate, lead=None):
         calls.append((x0, dx))
-        return kernel(k, e, total, x0, dx, alternate)
+        return kernel(k, e, total, x0, dx, alternate, lead)
 
     monkeypatch.setattr(formulas, "_ballot_sum", spy)
     return calls

@@ -39,7 +39,7 @@ from latticepaths import (
     niederhausen_forms_check,
     validate_query,
 )
-from latticepaths import formulas
+from latticepaths import exactmath, formulas
 from latticepaths.errors import require
 from latticepaths.formulas import _avoiding, _ballot_sum, _exact, _finish, _touching
 from latticepaths.verify import KOROLJUK_GRID, _niederhausen_grid
@@ -137,6 +137,7 @@ def test_ballot_examples():
     assert ballot(2, 2, 4) == 3
     assert ballot(1, 0, 0) == 1
     assert ballot(1, 3, 3) == 5
+    assert ballot(2, 2000, 4000) == math.comb(6000, 2000) - 2 * math.comb(6000, 1999)
 
 
 def test_ballot_agrees_with_count_weak():
@@ -481,6 +482,8 @@ def test_a_wrong_term_ratio_raises_instead_of_counting(monkeypatch, fault):
         lambda: _ballot_sum(1, 330, 1000, -330, 2, False),
         lambda: count_weak_inv(2, 150, 150, 0, 450, 150),
         lambda: koroljuk_reduced(KoroljukQuery(1, 4, 150, 150)),
+        # d = 2: a one-term kernel, so only the derived total C(300, 150) steps by perm.
+        lambda: koroljuk_reduced(KoroljukQuery(1, 2, 150, 150)),
     ):
         with pytest.raises(ArithmeticError, match="inexact binomial step: remainder"):
             call()
@@ -618,6 +621,64 @@ def test_koroljuk_reduced_takes_no_total_on_the_last_passage_route(monkeypatch, 
     assert koroljuk_reduced(KoroljukQuery(1, c, 10**5, 10**5)) == expected
     assert kernel_calls == [(-c, 2)]
     assert not [call for call in taken if call[0] == 2 * 10**5], taken
+
+
+def _spy_binomials(monkeypatch):
+    """The (n, k) of every binomial ``formulas`` takes."""
+    taken = []
+    take = formulas.binomial
+
+    def spy(n, k):
+        taken.append((n, k))
+        return take(n, k)
+
+    monkeypatch.setattr(formulas, "binomial", spy)
+    return taken
+
+
+def test_koroljuk_reduced_builds_one_large_binomial_on_the_alternating_route(monkeypatch, kernel_calls):
+    # d = c + p*n - m = 3: the alternating sum's leading binomial is
+    # C(200002, 100000), and C(m+n, n) = C(200000, 100000) is derived from it
+    # by two falling factors on each side, not built.
+    taken = _spy_binomials(monkeypatch)
+    large = []
+    by_primes = exactmath._by_primes
+
+    def spy(n, k):
+        large.append((n, k))
+        return by_primes(n, k)
+
+    monkeypatch.setattr(exactmath, "_by_primes", spy)
+    value = koroljuk_reduced(KoroljukQuery(1, 3, 10**5, 10**5))
+    assert kernel_calls == [(2, -1)]
+    assert taken == [(200002, 10**5), (2, 0)]
+    assert large == [(200002, 10**5)]
+    assert value == math.comb(2 * 10**5, 10**5) - _avoiding(1, 3, 10**5, 10**5)
+
+
+BOUND = formulas._DERIVED_TOTAL_MAX_D
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("d", [-2, 0, 1, 2, BOUND - 1, BOUND, BOUND + 1, 3 * BOUND])
+def test_koroljuk_reduced_derives_its_total_only_up_to_the_bound(monkeypatch, p, d):
+    # The walks that avoid x = c are the paths from the origin to (n, m)
+    # strictly above y = p*x - d, d = c + p*n - m; n is the least that keeps
+    # the alternating sum the shorter, plus 2.
+    n = max(1, -(-d // p) + (d - 1) // (p + 1) + 2)
+    c = 3
+    m = p * n + c - d
+    q = KoroljukQuery(p, c, m, n)
+    taken = _spy_binomials(monkeypatch)
+    value = koroljuk_reduced(q)
+    if d < 1:  # no walk avoids x = c
+        assert taken == [(m + n, n)]
+    elif d <= BOUND:
+        assert taken == [(m + n + d - 1, n), (d - 1, 0)]
+    else:
+        assert taken == [(m + n + d - 1, n), (d - 1, 0), (m + n, n)]
+    avoiding = dp_count(PathQuery(0, 0, n, m, integer_slope(p, d), STRICT)) if d >= 1 else 0
+    assert value == koroljuk_literal(q) == math.comb(m + n, n) - avoiding
 
 
 def test_a_line_that_clips_the_rectangle_costs_one_binomial_at_size():
