@@ -43,11 +43,10 @@ nonzero terms, so a line that only clips the rectangle costs one binomial.
 With ``touching=True`` it returns the complement, the paths not strictly
 above, and needs C(M+N, M) only on the alternating route; that is
 ``koroljuk_reduced``'s count of the walks that meet x = c.  There the
-alternating sum's first term holds L = C(M+N+d-1, M), so for
-1 <= d <= ``_DERIVED_TOTAL_MAX_D`` L is built once, handed to the kernel,
-and C(M+N, M) = L * P(N+d-1, d-1) / P(M+N+d-1, d-1) is derived from it in
-one exact division (P = perm); past that bound a fresh C(M+N, M) is the
-faster, and for d < 1 no path is strictly above.
+alternating sum's first term holds L = C(M+N+d-1, M); when d >= 1, L is
+built once, handed to the kernel, and C(M+N, M) =
+L * P(N+d-1, d-1) / P(M+N+d-1, d-1) is derived from it in one exact
+division (P = perm); for d < 1 no path is strictly above.
 It is the only caller of the two sums here; a check that compares routes
 calls them by name (``identities``, ``verify``).
 
@@ -95,14 +94,6 @@ from .model import (
     normalize_query,
     validate_query,
 )
-
-
-# The largest d at which ``_unit_count`` derives C(m+n, m) from the
-# alternating sum's leading binomial C(m+n+d-1, m) instead of building it:
-# from timings on Python 3.11, the d - 1 falling factors on each side beat a
-# fresh ``binomial(m+n, m)`` up to d = 100 at every m = n from 330 to 10**5,
-# and lost at d = 300 for m <= 3000 (91 against 59 us at m = 3000).
-_DERIVED_TOTAL_MAX_D = 100
 
 
 def _finish(total: int) -> int:
@@ -177,10 +168,10 @@ def _unit_count(k: int, d: int, m: int, n: int, touching: bool = False) -> int:
     alternating one on a tie).  As ceil(d/k) >= 1, ``_touching`` is the
     shorter exactly when m - ceil(d/k) < (d-1)//(k+1).  C(m+n, m) is taken
     only when the shorter sum is not the count asked for, and derived from
-    the alternating sum's leading binomial up to ``_DERIVED_TOTAL_MAX_D``."""
+    the alternating sum's leading binomial when d >= 1."""
     if m + (-d // k) < (d - 1) // (k + 1):
         count, asked = _touching(k, d, m, n), touching
-    elif touching and 1 <= d <= _DERIVED_TOTAL_MAX_D:
+    elif touching and d >= 1:
         lead = binomial(m + n + d - 1, m)
         total = _exact(lead, perm(n + d - 1, d - 1), perm(m + n + d - 1, d - 1))
         return _finish(total - _avoiding(k, d, m, n, lead))
