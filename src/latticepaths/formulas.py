@@ -90,7 +90,6 @@ from .model import (
     SlopeKind,
     Strictness,
     _k_times_r,
-    _moved,
     normalize_query,
     validate_query,
 )
@@ -180,29 +179,35 @@ def _unit_count(k: int, d: int, m: int, n: int, touching: bool = False) -> int:
     return count if asked else _finish(binomial(m + n, m) - count)
 
 
-def count_weak(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
+def _integral(r: Rational | int) -> int:
+    """r as an int, if it is integral."""
+    require(r.denominator == 1, lambda: f"need r integral, got r = {r}")
+    return r.numerator
+
+
+def count_weak(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
     """Paths from (a,b) to (m,n) staying on or above y = k*x - r.
 
-    Conditions: k >= 1, 0 <= a <= m, n >= k*m - r, max(0, k*a - r) <= b <= n.
+    Conditions: k >= 1, r integral, a <= m, n >= k*m - r, k*a - r <= b <= n.
     """
     require(k >= 1, lambda: f"need k >= 1, got {k}")
-    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
+    r = _integral(r)
+    require(a <= m, lambda: f"need a <= m, got a={a}, m={m}")
     require(n >= k * m - r, lambda: f"need n >= k*m - r: {n} < {k * m - r}")
-    require(max(0, k * a - r) <= b <= n, lambda: f"need max(0, k*a-r) <= b <= n, got b={b}")
+    require(k * a - r <= b <= n, lambda: f"need k*a-r <= b <= n, got b={b}")
     return _unit_count(k, b + r + 1 - k * a, m - a, n - b)
 
 
-def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
+def count_strict(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
     """Paths from (a,b) to (m,n) staying strictly above y = k*x - r.
 
-    Conditions: k >= 1, 0 <= a <= m, 0 <= b <= n with b + r - k*a > 0, and
-    n > k*m - r.  (The start bound is the strictly-above requirement itself,
-    slightly wider than b > max(0, k*a - r): b = 0 is fine when r > k*a.)
-    Equals count_weak(k, r, a, b-1, m, n-1) whenever b >= 1.
+    Conditions: k >= 1, r integral, a <= m, b <= n with b + r - k*a > 0, and
+    n > k*m - r.  Equals count_weak(k, r, a, b-1, m, n-1).
     """
     require(k >= 1, lambda: f"need k >= 1, got {k}")
-    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, lambda: f"need 0 <= b <= n, got b={b}, n={n}")
+    r = _integral(r)
+    require(a <= m, lambda: f"need a <= m, got a={a}, m={m}")
+    require(b <= n, lambda: f"need b <= n, got b={b}, n={n}")
     require(b + r - k * a > 0, lambda: f"start not strictly above the line: b+r-k*a = {b + r - k * a}")
     require(n > k * m - r, lambda: f"end not strictly above the line: need n > k*m - r = {k * m - r}")
     return _unit_count(k, b + r - k * a, m - a, n - b)
@@ -211,13 +216,12 @@ def count_strict(k: int, r: int, a: int, b: int, m: int, n: int) -> int:
 def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
     """Paths from (a,b) to (m,n) staying on or above y = x/k - r.
 
-    Conditions: k >= 1, k*r integral, 0 <= a <= m,
-    max(0, a/k - r) <= b <= n, n >= m/k - r.
+    Conditions: k >= 1, k*r integral, a <= m, a/k - r <= b <= n,
+    n >= m/k - r.
     """
     require(k >= 1, lambda: f"need k >= 1, got {k}")
     kr = _k_times_r(k, r)
-    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
-    require(b >= 0, lambda: f"need b >= 0, got {b}")
+    require(a <= m, lambda: f"need a <= m, got a={a}, m={m}")
     require(k * b >= a - kr, lambda: f"start below the line: k*b = {k * b} < a - k*r = {a - kr}")
     require(b <= n, lambda: f"need b <= n, got b={b}, n={n}")
     require(k * n >= m - kr, lambda: f"end below the line: k*n = {k * n} < m - k*r = {m - kr}")
@@ -227,13 +231,13 @@ def count_weak_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) ->
 def count_strict_inv(k: int, r: Rational | int, a: int, b: int, m: int, n: int) -> int:
     """Paths from (a,b) to (m,n) staying strictly above y = x/k - r.
 
-    Conditions: k >= 1, k*r integral, 0 <= a <= m, 0 <= b <= n with
+    Conditions: k >= 1, k*r integral, a <= m, b <= n with
     k*b + k*r - a > 0 (start strictly above), and k*n + k*r - m > 0.
     """
     require(k >= 1, lambda: f"need k >= 1, got {k}")
     kr = _k_times_r(k, r)
-    require(0 <= a <= m, lambda: f"need 0 <= a <= m, got a={a}, m={m}")
-    require(0 <= b <= n, lambda: f"need 0 <= b <= n, got b={b}, n={n}")
+    require(a <= m, lambda: f"need a <= m, got a={a}, m={m}")
+    require(b <= n, lambda: f"need b <= n, got b={b}, n={n}")
     require(k * b + kr - a > 0,
             lambda: f"start not strictly above the line: k*b+k*r-a = {k * b + kr - a}")
     require(k * n + kr - m > 0,
@@ -322,29 +326,23 @@ def bohm(q: BohmQuery) -> int:
 
 def _evaluate(q: PathQuery) -> int:
     """The core evaluator matching q's slope kind and strictness, applied to
-    q as it stands (integral intercept for the integer kind); the
-    evaluator's preconditions apply."""
-    k, r = q.boundary.k, q.boundary.r
+    q as it stands; the evaluator's preconditions apply."""
     if q.boundary.kind is SlopeKind.INTEGER:
         evaluator = count_weak if q.strictness is Strictness.WEAK else count_strict
-        r = int(r)
     else:
         evaluator = count_weak_inv if q.strictness is Strictness.WEAK else count_strict_inv
-    return evaluator(k, r, q.a, q.b, q.m, q.n)
+    return evaluator(q.boundary.k, q.boundary.r, q.a, q.b, q.m, q.n)
 
 
 def count(q: PathQuery) -> int:
     """Totalizing wrapper over the four evaluators.
 
     Returns 0 for queries with no paths (endpoint unreachable or below the
-    boundary), snaps non-integral intercepts to their canonical form, and
-    translates negative start coordinates into the evaluators' domain.
-    Translation preserves the path count, so every boundary-valid query is
-    answered.
+    boundary), and answers every other query, from any integer start, by
+    the evaluator of its kind and mode once non-integral intercepts are
+    snapped to their canonical form.  A query of another kind raises
+    TypeError.
     """
     if not validate_query(q).ok:
         return 0
-    eff = normalize_query(q)
-    if eff.a < 0 or eff.b < 0:
-        eff = _moved(eff, max(-eff.a, 0), max(-eff.b, 0))
-    return _evaluate(eff)
+    return _evaluate(normalize_query(q))

@@ -36,8 +36,7 @@ multiple of g = gcd(A, B), so a lattice point lies on the line exactly when
 g divides C (``strictness_insensitive`` is the negation: then strict and
 weak coincide), and C constrains lattice points exactly as g*floor(C/g)
 does (``normalize_intercept``'s snap, floor(r) for the integer slope and
-floor(k*r)/k for the inverse slope).  A translated query moves the line
-with it by adding B*dx - A*dy to C.  In this module only ``_form``,
+floor(k*r)/k for the inverse slope).  In this module only ``_form``,
 ``value_at`` and ``describe`` branch on the slope kind.
 """
 
@@ -287,20 +286,8 @@ def normalize_query(q: PathQuery) -> PathQuery:
     return PathQuery(q.a, q.b, q.m, q.n, line, Strictness.WEAK)
 
 
-def _moved(q: PathQuery, dx: int, dy: int) -> PathQuery:
-    """q translated by (dx, dy): the same paths, the line moved with them.
-
-    The moved line is A*(y-dy) - B*(x-dx) + C >= 0, so the weak form's
-    constant gains B*dx - A*dy; for both slope kinds that form's C/A is the
-    intercept.
-    """
-    a, b, c = q.boundary._form(Strictness.WEAK)
-    line = BoundaryLine(q.boundary.kind, q.boundary.k, Fraction(c + b * dx - a * dy, a))
-    return PathQuery(q.a + dx, q.b + dy, q.m + dx, q.n + dy, line, q.strictness)
-
-
 class QueryCategory(Enum):
-    STANDARD = "standard"  # meets the closed form's documented condition block
+    STANDARD = "standard"  # meets the paper's condition block
     EXTENDED = "extended"  # boundary-valid, but outside that block
     INVALID = "invalid"  # no paths: endpoint violates the constraint or is unreachable
 
@@ -316,15 +303,19 @@ class QueryValidation:
 
 
 def validate_query(q: PathQuery) -> QueryValidation:
-    """Classify a query for the closed-form evaluators.
+    """Classify a query; anything but a PathQuery raises TypeError.
 
-    STANDARD queries satisfy the full condition block documented on the
-    matching evaluator in ``formulas``.  EXTENDED queries are still
-    countable (both endpoints satisfy the constraint, the end is reachable)
-    but fall outside that block, e.g. strict queries starting at ordinate 0
-    that clear the line only thanks to the intercept, or shifted queries
-    with a negative start ordinate.  INVALID queries have no paths at all.
+    STANDARD queries satisfy the paper's condition block: a start in the
+    first quadrant, with ordinate >= 1 when the constraint is strict.
+    EXTENDED queries are boundary-valid (both endpoints satisfy the
+    constraint, the end is reachable) but fall outside that block, e.g.
+    strict queries starting at ordinate 0 that clear the line only thanks
+    to the intercept, or shifted queries with a negative start; the
+    evaluators in ``formulas`` count them too.  INVALID queries have no
+    paths at all.
     """
+    if not isinstance(q, PathQuery):
+        raise TypeError(f"expected a PathQuery, got {type(q).__name__}")
     if q.a > q.m or q.b > q.n:
         return QueryValidation(QueryCategory.INVALID, "end point not reachable from start")
     if not above((q.a, q.b), q.boundary, q.strictness):

@@ -117,6 +117,92 @@ def test_count_strict_inv_examples():
     assert count_strict_inv(2, 1, 2, 2, 2, 2) == 1
 
 
+_EVALUATORS = {
+    (SlopeKind.INTEGER, WEAK): count_weak,
+    (SlopeKind.INTEGER, STRICT): count_strict,
+    (SlopeKind.INVERSE, WEAK): count_weak_inv,
+    (SlopeKind.INVERSE, STRICT): count_strict_inv,
+}
+
+
+def _line(kind, k, kr):
+    """The line whose intercept r (integer slope) or k*r (inverse slope) is kr."""
+    return BoundaryLine(kind, k, kr if kind is SlopeKind.INTEGER else Fraction(kr, k))
+
+
+@pytest.mark.parametrize("kind, strictness", list(_EVALUATORS), ids=lambda v: v.value)
+def test_evaluators_count_a_negative_start_where_it_stands(kind, strictness):
+    # Every boundary-valid query of a small window of starts left of and
+    # below the origin, against the oracle and against the same query moved
+    # by (dx, dy) with its line: y = k*x - r moves to r + k*dx - dy, and
+    # y = x/k - r to k*r + dx - k*dy.
+    evaluator = _EVALUATORS[kind, strictness]
+    negative = [0, 0]
+    for k, kr, a, lift, width, extra in product((1, 2), range(-2, 3), range(-4, 1), (0, 1),
+                                               range(4), range(3)):
+        line = _line(kind, k, kr)
+        b = min_ordinate_above(line, a, strictness) + lift
+        m = a + width
+        n = max(b, min_ordinate_above(line, m, strictness)) + extra
+        q = PathQuery(a, b, m, n, line, strictness)
+        got = evaluator(k, line.r, a, b, m, n)
+        assert got == dp_count(q), q
+        negative[0] += a < 0
+        negative[1] += b < 0
+        for dx, dy in ((3, 5), (-2, 1)):
+            moved_kr = kr + k * dx - dy if kind is SlopeKind.INTEGER else kr + dx - k * dy
+            moved = _line(kind, k, moved_kr)
+            assert evaluator(k, moved.r, a + dx, b + dy, m + dx, n + dy) == got, (q, dx, dy)
+    assert min(negative) > 100
+
+
+@pytest.mark.parametrize("evaluator, args, message", [
+    (count_weak, (0, 0, 0, 0, 1, 1), "need k >= 1, got 0"),
+    (count_weak, (1, Fraction(3, 2), 0, 0, 2, 3), "need r integral, got r = 3/2"),
+    (count_weak, (1, 0, -1, -1, -2, 5), "need a <= m, got a=-1, m=-2"),
+    (count_weak, (1, 3, -2, 0, 0, -1), "need k*a-r <= b <= n, got b=0"),
+    (count_weak, (1, 0, -1, -2, 2, 3), "need k*a-r <= b <= n, got b=-2"),
+    (count_weak, (1, 0, -1, -1, 3, 2), "need n >= k*m - r: 2 < 3"),
+    (count_strict, (0, 0, 0, 0, 1, 1), "need k >= 1, got 0"),
+    (count_strict, (1, Fraction(1, 2), 0, 0, 2, 3), "need r integral, got r = 1/2"),
+    (count_strict, (1, 0, -1, 0, -2, 5), "need a <= m, got a=-1, m=-2"),
+    (count_strict, (1, 3, -2, 0, 0, -1), "need b <= n, got b=0, n=-1"),
+    (count_strict, (1, 0, -2, -2, 1, 3), "start not strictly above the line: b+r-k*a = 0"),
+    (count_strict, (1, 0, -1, -2, 1, 3), "start not strictly above the line: b+r-k*a = -1"),
+    (count_strict, (1, 0, -1, 0, 3, 3), "end not strictly above the line: need n > k*m - r = 3"),
+    (count_weak_inv, (0, 0, 0, 0, 1, 1), "need k >= 1, got 0"),
+    (count_weak_inv, (2, Fraction(1, 3), 0, 0, 2, 1), "need k*r integral, got k*r = 2/3"),
+    (count_weak_inv, (2, 0, -1, -1, -2, 3), "need a <= m, got a=-1, m=-2"),
+    (count_weak_inv, (2, 0, -2, 0, 0, -1), "need b <= n, got b=0, n=-1"),
+    (count_weak_inv, (2, 0, -1, -1, 3, 3), "start below the line: k*b = -2 < a - k*r = -1"),
+    (count_weak_inv, (2, 0, -2, -1, 5, 2), "end below the line: k*n = 4 < m - k*r = 5"),
+    (count_strict_inv, (0, 0, 0, 0, 1, 1), "need k >= 1, got 0"),
+    (count_strict_inv, (2, Fraction(1, 4), 0, 0, 2, 1), "need k*r integral, got k*r = 1/2"),
+    (count_strict_inv, (2, 0, -1, 0, -2, 3), "need a <= m, got a=-1, m=-2"),
+    (count_strict_inv, (2, 0, -3, 0, 0, -1), "need b <= n, got b=0, n=-1"),
+    (count_strict_inv, (2, 0, -2, -1, 3, 3), "start not strictly above the line: k*b+k*r-a = 0"),
+    (count_strict_inv, (2, 0, -3, -1, 4, 2), "end not strictly above the line: k*n+k*r-m = 0"),
+])
+def test_evaluators_keep_every_bound_but_the_start_sign(evaluator, args, message):
+    with pytest.raises(ValidationError) as excinfo:
+        evaluator(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("strictness, r, expected", [(WEAK, Fraction(3, 2), 9),
+                                                     (STRICT, Fraction(1, 2), 5)])
+def test_count_snaps_a_non_integral_r_that_the_evaluators_refuse(strictness, r, expected):
+    # count_weak(1, 3/2, 0, 0, 2, 3) and count_strict(1, 1/2, 0, 0, 2, 3)
+    # raise (see above); count() answers their queries through the snap.
+    q = PathQuery(0, 0, 2, 3, integer_slope(1, r), strictness)
+    assert dp_count(q) == count(q) == expected
+
+
+def test_integer_slope_evaluators_take_an_integral_rational_r_as_its_int():
+    assert count_strict(1, Fraction(2), 0, 0, 2, 3) == count_strict(1, 2, 0, 0, 2, 3) == 9
+    assert count_weak(1, Fraction(2), 0, 0, 2, 3) == count_weak(1, 2, 0, 0, 2, 3)
+
+
 def test_base_case_examples():
     assert base_case(2, 1, 2, 3, 6) == 3
     assert base_case(1, 0, 1, 2, 2) == 2

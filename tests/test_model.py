@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latticepaths import (
     BohmQuery,
     BoundaryLine,
+    KoroljukQuery,
     LatticePath,
     NiederhausenQuery,
     PathQuery,
@@ -35,7 +36,6 @@ from latticepaths import (
 )
 from latticepaths import formulas, model
 from latticepaths.cli import main
-from latticepaths.model import _moved
 
 WEAK = Strictness.WEAK
 STRICT = Strictness.STRICT
@@ -150,36 +150,12 @@ def test_the_gcd_rule_finds_the_lattice_points_on_the_line():
     assert sensitive == set(SlopeKind)
 
 
-@given(
-    st.sampled_from([SlopeKind.INTEGER, SlopeKind.INVERSE]),
-    st.integers(min_value=1, max_value=3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=5),
-    st.sampled_from([WEAK, STRICT]),
-    st.integers(min_value=-3, max_value=2),
-    st.integers(min_value=-3, max_value=2),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-)
-@example(SlopeKind.INVERSE, 2, Fraction(0), WEAK, 0, 0, 3, 2, 1, 0)  # r becomes 1/2
-def test_moved_query_keeps_its_paths_and_moves_the_form(
-    kind, k, r, strictness, a, b, width, height, dx, dy
-):
-    q = PathQuery(a, b, a + width, b + height, BoundaryLine(kind, k, r), strictness)
-    moved = _moved(q, dx, dy)
-    assert (moved.a, moved.b, moved.m, moved.n) == (a + dx, b + dy, q.m + dx, q.n + dy)
-    assert (moved.boundary.kind, moved.boundary.k, moved.strictness) == (kind, k, strictness)
-    assert dp_count(moved) == dp_count(q)
-    big_a, big_b, big_c = q.boundary._form(WEAK)
-    expected = (big_a, big_b, big_c + big_b * dx - big_a * dy)
-    form = moved.boundary._form(WEAK)
-    if kind is SlopeKind.INTEGER:
-        assert form == expected
-    else:
-        # A move can change the intercept's denominator, which scales the
-        # inverse slope's form by a positive factor.
-        assert [big_a * v for v in form] == [form[0] * v for v in expected]
+@pytest.mark.parametrize("call", [count, validate_query, dp_count],
+                         ids=["count", "validate_query", "dp_count"])
+def test_a_query_of_another_kind_is_refused_with_type_error(call):
+    with pytest.raises(TypeError) as caught:
+        call(KoroljukQuery(1, 1, 1, 1))
+    assert str(caught.value) == "expected a PathQuery, got KoroljukQuery"
 
 
 def test_validate_query_examples():

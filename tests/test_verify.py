@@ -4,6 +4,7 @@ report a deliberately broken route."""
 import inspect
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,6 +180,26 @@ def test_complement_sweep_reports_a_wrong_census(monkeypatch):
     )
 
 
+def test_intercept_normalization_sweep_reports_a_wrong_strict_count(monkeypatch):
+    count = verify_module.count
+    monkeypatch.setattr(verify_module, "count",
+                        lambda q: count(q) + (q.strictness is Strictness.STRICT))
+    summary = intercept_normalization_sweep()
+    assert summary.failures == 100
+    assert summary.first_failure == (
+        "intercept normalization weak (0,0)->(2,6) above y = 2*x - (1/2): {'weak oracle': 12, "
+        "'strict oracle': 12, 'snapped oracle': 12, 'weak closed form': 12, 'strict closed form': 13}"
+    )
+
+
+def test_koroljuk_equality_sweep_reports_a_wrong_reduced_form(monkeypatch):
+    reduced = verify_module.koroljuk_reduced
+    monkeypatch.setattr(verify_module, "koroljuk_reduced", lambda q: reduced(q) + 1)
+    summary = koroljuk_equality_sweep()
+    assert summary.failures == 768
+    assert summary.first_failure == "koroljuk forms p=1 c=1 m=1 n=1: literal 1, reduced 2"
+
+
 def test_recurrence_shift_sweep_reports_a_wrong_weak_count(monkeypatch):
     count_weak = identities_module.count_weak
     monkeypatch.setattr(identities_module, "count_weak", lambda *args: count_weak(*args) + 1)
@@ -200,6 +221,42 @@ def test_run_bijections_reports_a_wrong_drop_one(monkeypatch):
     summary = run_bijections(2)
     _assert_reports_failures(summary)
     assert summary.first_failure == "drop-one k=1 r=0 (0,1)->(0,1): some image leaves the target family"
+
+
+def test_run_bijections_reports_families_of_different_sizes(monkeypatch):
+    # The walker lists the first weak path twice: drop-one's images still lie
+    # in its target and stay distinct, so only the cardinality check fails.
+    keys = verify_module._keys
+
+    def doubled(q):
+        found = keys(q)
+        return found + found[:1] if isinstance(q, PathQuery) and q.strictness is Strictness.WEAK else found
+
+    monkeypatch.setattr(verify_module, "_keys", doubled)
+    summary = run_bijections(1)
+    assert summary.failures == 713
+    assert summary.first_failure == "drop-one k=1 r=0 (0,1)->(0,1): |source| 1 != |target| 2"
+
+
+def test_run_bijections_reports_walks_below_the_feasibility_line(monkeypatch):
+    # The walker and the census agree on one walk, the empty one, wherever
+    # c + p*n - m < 1 leaves none: the composite route and the census pass,
+    # and only the feasibility check can tell.
+    keys = verify_module._keys
+
+    def phantom(q):
+        if isinstance(q, KoroljukQuery) and q.c + q.p * q.n - q.m < 1:
+            return [((0, 0), "")]
+        return keys(q)
+
+    monkeypatch.setattr(verify_module, "_keys", phantom)
+    monkeypatch.setattr(verify_module, "count_stepset",
+                        lambda q: SimpleNamespace(avoiding=len(phantom(q))))
+    summary = run_bijections(3)
+    assert summary.failures == 1
+    assert summary.first_failure == (
+        "avoiding walks exist below the feasibility line p=1 c=1 m=2 n=1: 1"
+    )
 
 
 @pytest.mark.parametrize("name, wrong_inverse, label", [
